@@ -470,23 +470,15 @@ let prog_stages () =
     `Prog ("prog-dedup", [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
   ]
 
-let prog_backends =
-  [ ("compiled", `Compiled); ("checked", `Checked); ("interp", `Interp) ]
-
 let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
   List.map
     (fun disk ->
       ( disk,
         List.map
-          (fun (bname, backend) ->
-            ( bname,
-              List.map
-                (fun stage ->
-                  time_host (fun () ->
-                      Experiments.measure_prog ~disk ~file_bytes ~stage
-                        ~vm_backend:backend ()))
-                (prog_stages ()) ))
-          prog_backends ))
+          (fun stage ->
+            time_host (fun () ->
+                Experiments.measure_prog ~disk ~file_bytes ~stage ()))
+          (prog_stages ()) ))
     disks
 
 (* VM-only microbench: one program over one 8 KB payload, no simulation
@@ -507,13 +499,8 @@ let vm_micro_ns_per_run ?prog ~runs backend =
     | `Interp ->
       let st = Kpath_vm.Vm.new_state p in
       fun () -> ignore (Kpath_vm.Vm.exec p st ~data ~len:8192 ~lblk:0 ~emit)
-    | (`Compiled | `NoIdiom | `Checked) as b ->
-      let code =
-        match b with
-        | `Compiled -> Kpath_vm.Compile.compile p
-        | `NoIdiom -> Kpath_vm.Compile.compile ~idioms:false p
-        | `Checked -> Kpath_vm.Compile.compile ~idioms:false ~elide:false p
-      in
+    | (`Compiled | `NoIdiom) as b ->
+      let code = Kpath_vm.Compile.compile ~idioms:(b = `Compiled) p in
       let st = Kpath_vm.Compile.new_state code in
       fun () ->
         ignore (Kpath_vm.Compile.exec code st ~data ~len:8192 ~lblk:0 ~emit)
@@ -525,91 +512,42 @@ let vm_micro_ns_per_run ?prog ~runs backend =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int runs *. 1e9
 
-(* Every simulated number must agree between the two backends; host
-   wall-clock is the only column allowed to move. *)
-let prog_rows_bit_identical compiled interp =
-  List.length compiled = List.length interp
-  && List.for_all2
-       (fun (a, _) (b, _) ->
-         a.Experiments.pr_stage = b.Experiments.pr_stage
-         && a.Experiments.pr_kb_per_sec = b.Experiments.pr_kb_per_sec
-         && a.Experiments.pr_cpu_sec = b.Experiments.pr_cpu_sec
-         && a.Experiments.pr_seconds = b.Experiments.pr_seconds
-         && a.Experiments.pr_runs = b.Experiments.pr_runs
-         && a.Experiments.pr_insns = b.Experiments.pr_insns
-         && a.Experiments.pr_checksum = b.Experiments.pr_checksum
-         && a.Experiments.pr_events = b.Experiments.pr_events
-         && a.Experiments.pr_verified = b.Experiments.pr_verified)
-       compiled interp
-
 let print_prog_sweep ?(file_bytes = 4 * mb) () =
   header
     (Printf.sprintf
-       "Sweep: verified filter programs, %d MB splice-graph copy --      VM CPU per block vs the built-in Checksum stage, per backend"
+       "Sweep: verified filter programs, %d MB splice-graph copy --      VM CPU per block vs the built-in Checksum stage"
        (file_bytes / mb));
   let nblocks = file_bytes / 8192 in
-  Printf.printf "%-5s | %-8s | %-13s | %9s | %7s | %9s | %9s | %6s\n" "Disk"
-    "backend" "stage" "KB/s" "CPU s" "insns/blk" "us/blk" "host s";
+  Printf.printf "%-5s | %-15s | %9s | %7s | %9s | %9s | %6s\n" "Disk" "stage"
+    "KB/s" "CPU s" "insns/blk" "us/blk" "host s";
   Printf.printf "%s\n" line;
   List.iter
-    (fun (disk, per_backend) ->
+    (fun (disk, rows) ->
+      let plain_cpu =
+        List.fold_left
+          (fun acc (r, _) ->
+            if r.Experiments.pr_stage = "plain" then r.Experiments.pr_cpu_sec
+            else acc)
+          0.0 rows
+      in
+      let builtin = ref None and prog = ref None in
       List.iter
-        (fun (bname, rows) ->
-          let plain_cpu =
-            List.fold_left
-              (fun acc (r, _) ->
-                if r.Experiments.pr_stage = "plain" then
-                  r.Experiments.pr_cpu_sec
-                else acc)
-              0.0 rows
-          in
-          let builtin = ref None and prog = ref None in
-          List.iter
-            (fun (r, host) ->
-              (match r.Experiments.pr_stage with
-               | "checksum" -> builtin := r.Experiments.pr_checksum
-               | "prog-checksum" -> prog := r.Experiments.pr_checksum
-               | _ -> ());
-              Printf.printf
-                "%-5s | %-8s | %-13s | %9.0f | %7.3f | %9.1f | %9.2f | %6.2f\n"
-                (Experiments.disk_name disk) bname r.Experiments.pr_stage
-                r.Experiments.pr_kb_per_sec r.Experiments.pr_cpu_sec
-                (float_of_int r.Experiments.pr_insns /. float_of_int nblocks)
-                ((r.Experiments.pr_cpu_sec -. plain_cpu) /. float_of_int nblocks
-                 *. 1e6)
-                host)
-            rows;
-          Printf.printf "%-5s   %-8s checksum(builtin) = checksum(prog): %b\n"
-            (Experiments.disk_name disk) bname
-            (match (!builtin, !prog) with
-             | Some a, Some b -> a = b
-             | _ -> false))
-        per_backend;
-      (match List.assoc_opt "interp" per_backend with
-       | Some interp ->
-         List.iter
-           (fun (bname, rows) ->
-             if bname <> "interp" then
-               Printf.printf
-                 "%-5s   %s vs interp bit-identical (sim numbers): %b\n"
-                 (Experiments.disk_name disk) bname
-                 (prog_rows_bit_identical rows interp))
-           per_backend;
-         let host_of rows stage =
-           List.find_map
-             (fun (r, host) ->
-               if r.Experiments.pr_stage = stage then Some host else None)
-             rows
-         in
-         (match (host_of interp "prog-checksum",
-                 Option.bind (List.assoc_opt "compiled" per_backend)
-                   (fun rows -> host_of rows "prog-checksum")) with
-          | Some hi, Some hc when hc > 0.0 ->
-            Printf.printf
-              "%-5s   prog-checksum host speedup (interp/compiled): %.2fx\n"
-              (Experiments.disk_name disk) (hi /. hc)
-          | _ -> ())
-       | None -> ()))
+        (fun (r, host) ->
+          (match r.Experiments.pr_stage with
+           | "checksum" -> builtin := r.Experiments.pr_checksum
+           | "prog-checksum" -> prog := r.Experiments.pr_checksum
+           | _ -> ());
+          Printf.printf "%-5s | %-15s | %9.0f | %7.3f | %9.1f | %9.2f | %6.2f\n"
+            (Experiments.disk_name disk) r.Experiments.pr_stage
+            r.Experiments.pr_kb_per_sec r.Experiments.pr_cpu_sec
+            (float_of_int r.Experiments.pr_insns /. float_of_int nblocks)
+            ((r.Experiments.pr_cpu_sec -. plain_cpu) /. float_of_int nblocks
+             *. 1e6)
+            host)
+        rows;
+      Printf.printf "%-5s   checksum(builtin) = checksum(prog): %b\n"
+        (Experiments.disk_name disk)
+        (match (!builtin, !prog) with Some a, Some b -> a = b | _ -> false))
     (prog_rows ~file_bytes ());
   let runs = 2000 in
   let ni = vm_micro_ns_per_run ~runs `Interp in
@@ -618,31 +556,25 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
     "VM-only, FNV checksum over one 8 KB block: interp %.0f ns/run, compiled \
      %.0f ns/run -- %.1fx host speedup\n"
     ni nc (ni /. nc);
-  (* Tier ladder per idiom: interpreter, generic fused loop with every
-     runtime check kept (~elide:false), the same generic loop with the
-     range analysis's proven checks elided (the ~idioms:false default),
-     and the recognized idiom. "elide" is checked/generic -- what the
-     range analysis buys on the generic tier; "gain" is generic/idiom
-     -- the value of pattern recognition on top of elision; "/byte vs
-     fold" compares each idiom's per-byte cost to the byte-scan
-     fold's. *)
+  (* Tier ladder per idiom: interpreter, generic fused loop
+     (~idioms:false), and the recognized idiom. "gain" is generic/idiom
+     -- the value of pattern recognition; "/byte vs fold" compares each
+     idiom's per-byte cost to the byte-scan fold's. *)
   Printf.printf
     "VM-only per idiom, one 8 KB block (ns/run):\n%-13s | %9s | %9s | %9s | \
-     %9s | %6s | %7s | %13s\n"
-    "program" "interp" "checked" "generic" "idiom" "elide" "gain"
-    "/byte vs fold";
+     %7s | %13s\n"
+    "program" "interp" "generic" "idiom" "gain" "/byte vs fold";
   let fold_per_byte = ref 0.0 in
   List.iter
     (fun (name, p) ->
       let ni = vm_micro_ns_per_run ~prog:p ~runs `Interp in
-      let nk = vm_micro_ns_per_run ~prog:p ~runs `Checked in
       let ng = vm_micro_ns_per_run ~prog:p ~runs `NoIdiom in
       let nc = vm_micro_ns_per_run ~prog:p ~runs `Compiled in
       let per_byte = nc /. 8192.0 in
       if name = "checksum" then fold_per_byte := per_byte;
       Printf.printf
-        "%-13s | %9.0f | %9.0f | %9.0f | %9.0f | %5.2fx | %6.1fx | %12.2fx\n"
-        name ni nk ng nc (nk /. ng) (ng /. nc)
+        "%-13s | %9.0f | %9.0f | %9.0f | %6.1fx | %12.2fx\n"
+        name ni ng nc (ng /. nc)
         (if !fold_per_byte > 0.0 then per_byte /. !fold_per_byte else 0.0))
     [
       ("checksum", Kpath_vm.Samples.checksum ());
@@ -654,8 +586,8 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
   Printf.printf
     "(us/blk is the simulated CPU the stage adds per 8 KB block over the \
      plain edge; the FNV program\n runs ~6 instructions per payload byte. \
-     Both backends charge the same simulated cost per instruction --\n the \
-     compiled closures only cut the host wall-clock of executing them)\n";
+     The interpreter and the compiled\n closures charge the same simulated \
+     cost per instruction; only host wall-clock differs)\n";
   print_newline ()
 
 (* {1 Smoke run: small-size tables + cluster sweep, JSON for CI} *)
@@ -679,37 +611,22 @@ let smoke ?(path = "BENCH_kpath.json") () =
         cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ]
           ~disks:[ `Ram; `Rz58 ] ())
   in
-  let pr_backends, pr_host =
+  let pr, pr_host =
     time_host (fun () ->
         match prog_rows ~file_bytes ~disks:[ `Ram ] () with
-        | [ (_, per_backend) ] -> per_backend
+        | [ (_, rows) ] -> rows
         | _ -> assert false)
-  in
-  let pr =
-    List.concat_map
-      (fun (bname, rows) -> List.map (fun (r, host) -> (bname, r, host)) rows)
-      pr_backends
   in
   let prog_checksums_match =
     let find stage =
       List.find_map
-        (fun (bname, r, _) ->
-          if bname = "compiled" && r.Experiments.pr_stage = stage then
-            r.Experiments.pr_checksum
+        (fun (r, _) ->
+          if r.Experiments.pr_stage = stage then r.Experiments.pr_checksum
           else None)
         pr
     in
     match (find "checksum", find "prog-checksum") with
     | Some a, Some b -> a = b
-    | _ -> false
-  in
-  let prog_compiled_match =
-    match (List.assoc_opt "compiled" pr_backends,
-           List.assoc_opt "checked" pr_backends,
-           List.assoc_opt "interp" pr_backends) with
-    | Some compiled, Some checked, Some interp ->
-      prog_rows_bit_identical compiled interp
-      && prog_rows_bit_identical checked interp
     | _ -> false
   in
   let buf = Buffer.create 4096 in
@@ -753,9 +670,8 @@ let smoke ?(path = "BENCH_kpath.json") () =
       field false "\"f_scp\": %.4f" r.Experiments.cl_f_scp;
       field true "\"host_seconds\": %.3f" host);
   Buffer.add_string buf ",\n  \"prog_sweep\": ";
-  objects pr (fun (bname, r, host) ->
+  objects pr (fun (r, host) ->
       field false "\"stage\": \"%s\"" (json_escape r.Experiments.pr_stage);
-      field false "\"backend\": \"%s\"" (json_escape bname);
       field false "\"kb_per_sec\": %.1f" r.Experiments.pr_kb_per_sec;
       field false "\"cpu_sec\": %.4f" r.Experiments.pr_cpu_sec;
       field false "\"runs\": %d" r.Experiments.pr_runs;
@@ -764,8 +680,6 @@ let smoke ?(path = "BENCH_kpath.json") () =
       field true "\"host_seconds\": %.3f" host);
   Printf.ksprintf (Buffer.add_string buf)
     ",\n  \"prog_checksum_match\": %b" prog_checksums_match;
-  Printf.ksprintf (Buffer.add_string buf)
-    ",\n  \"prog_compiled_match\": %b" prog_compiled_match;
   Printf.ksprintf (Buffer.add_string buf)
     ",\n  \"host_seconds\": {\"table1\": %.3f, \"table2\": %.3f, \
      \"cluster_sweep\": %.3f, \"prog_sweep\": %.3f}\n}\n"
@@ -934,9 +848,9 @@ let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
       backends
   in
   let prog_wc_rows =
-    (* Two VM workloads per engine x backend cell: the fold-idiom
-       checksum and the rolling-hash chunker, so the wall-clock gate
-       watches an idiom from each loop family. *)
+    (* Two VM workloads per engine: the fold-idiom checksum and the
+       rolling-hash chunker, so the wall-clock gate watches an idiom
+       from each loop family. *)
     let workloads =
       [
         ("checksum", fun () -> [ Kpath_vm.Samples.checksum () ]);
@@ -945,30 +859,26 @@ let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
     in
     List.concat_map
       (fun (wname, progs) ->
-        List.concat_map
+        List.map
           (fun (name, backend) ->
-            List.map
-              (fun (vm_name, vm_backend) ->
-                let (r, host, minor, majors), hwm =
-                  in_child (fun () ->
-                      let r =
-                        gc_run (fun () ->
-                            Experiments.measure_prog ~disk:`Rz58
-                              ~file_bytes:(8 * mb)
-                              ~stage:(`Prog ("prog-" ^ wname, progs ()))
-                              ~machine_config:(backend_config backend)
-                              ~vm_backend ())
-                      in
-                      (r, vm_hwm_kb ()))
-                in
-                Printf.printf
-                  "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-                  (Printf.sprintf "prog %s 8 MB %s" wname vm_name)
-                  name r.Experiments.pr_events host
-                  (evps r.Experiments.pr_events host)
-                  minor majors hwm;
-                (wname, name, vm_name, r, host, minor, majors, hwm))
-              prog_backends)
+            let (r, host, minor, majors), hwm =
+              in_child (fun () ->
+                  let r =
+                    gc_run (fun () ->
+                        Experiments.measure_prog ~disk:`Rz58
+                          ~file_bytes:(8 * mb)
+                          ~stage:(`Prog ("prog-" ^ wname, progs ()))
+                          ~machine_config:(backend_config backend) ())
+                  in
+                  (r, vm_hwm_kb ()))
+            in
+            Printf.printf
+              "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
+              (Printf.sprintf "prog %s 8 MB" wname)
+              name r.Experiments.pr_events host
+              (evps r.Experiments.pr_events host)
+              minor majors hwm;
+            (wname, name, r, host, minor, majors, hwm))
           backends)
       workloads
   in
@@ -1086,9 +996,8 @@ let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
       field true "\"verified\": %b" m.Experiments.cm_verified);
   Buffer.add_string buf ",\n  \"prog\": ";
   objects prog_wc_rows
-    (fun (wname, name, vm_name, r, host, minor, majors, hwm) ->
+    (fun (wname, name, r, host, minor, majors, hwm) ->
       field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"backend\": \"%s\"" (json_escape vm_name);
       field false "\"workload\": \"%s\"" (json_escape wname);
       field false "\"file_bytes\": %d" (8 * mb);
       field false "\"events\": %d" r.Experiments.pr_events;

@@ -59,36 +59,6 @@ let engine_arg =
                  (hierarchical timing wheel). The simulation is identical \
                  either way; only host speed differs.")
 
-let vm_backend_conv =
-  let parse = function
-    | "interp" -> Ok `Interp
-    | "compiled" -> Ok `Compiled
-    | "checked" -> Ok `Checked
-    | s ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown backend %S (interp|compiled|checked)" s))
-  in
-  let print fmt b =
-    Format.pp_print_string fmt
-      (match b with
-       | `Interp -> "interp"
-       | `Compiled -> "compiled"
-       | `Checked -> "checked")
-  in
-  Arg.conv (parse, print)
-
-let vm_backend_arg =
-  Arg.(value
-       & opt vm_backend_conv Config.decstation_5000_200.Config.vm_backend
-       & info [ "vm-backend" ] ~docv:"BACKEND"
-           ~doc:"Filter-program execution backend: compiled \
-                 (closure-compiled at load time, the default), interp \
-                 (the reference interpreter), or checked (compiled with \
-                 the range analysis's check elision disabled). Verdicts, \
-                 emits and simulated cost are identical in all three; \
-                 only host wall-clock differs.")
-
 let config_with_cluster max_cluster sim_engine =
   if max_cluster < 1 then begin
     Format.eprintf "kpathctl: --max-cluster must be at least 1@.";
@@ -370,10 +340,20 @@ let graph_cmd =
                    with filter and trace options.")
   in
   let run clients size_kb bandwidth window throttle checksum prog trace domains
-      engine vm_backend =
+      engine =
     let usage_error msg =
       Format.eprintf "kpathctl: %s@." msg;
       exit 124
+    in
+    (* A population past one engine's event pool is a size error, not a
+       crash: one line and exit 1. *)
+    let sized f =
+      try f ()
+      with Kpath_sim.Engine.Pool_exhausted ->
+        Format.eprintf
+          "kpathctl: simulation too large: more than 2^20 concurrent \
+           engine events (reduce --clients or --size-kb)@.";
+        exit 1
     in
     if clients < 1 then usage_error "--clients must be at least 1";
     if size_kb < 1 then usage_error "--size-kb must be at least 1";
@@ -410,7 +390,7 @@ let graph_cmd =
     in
     let filters = if filters = [] then None else Some filters in
     let machine_config =
-      { Config.decstation_5000_200 with Config.sim_engine = engine; vm_backend }
+      { Config.decstation_5000_200 with Config.sim_engine = engine }
     in
     (match domains with
      | Some k ->
@@ -421,9 +401,10 @@ let graph_cmd =
            "--domains is incompatible with filter, window and trace options";
        let machine_config = { machine_config with Config.sim_domains = k } in
        let r =
-         Experiments.measure_fanout_sharded ~clients
-           ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6)
-           ~machine_config ()
+         sized (fun () ->
+             Experiments.measure_fanout_sharded ~clients
+               ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6)
+               ~machine_config ())
        in
        Format.printf
          "fan-out %d KB x %d clients over %d domain%s: %.0f KB/s aggregate in \
@@ -436,9 +417,10 @@ let graph_cmd =
        exit (if r.Experiments.fsh_verified then 0 else 1)
      | None -> ());
     let measure trace_json =
-      Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
-        ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json
-        ~machine_config ()
+      sized (fun () ->
+          Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
+            ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json
+            ~machine_config ())
     in
     let r =
       match trace with
@@ -461,13 +443,8 @@ let graph_cmd =
       r.Experiments.fo_seconds r.Experiments.fo_device_reads
       r.Experiments.fo_server_cpu_sec r.Experiments.fo_verified;
     if Option.is_some prog then
-      Format.printf "filter program: %d runs, %d instructions executed (%s \
-                     backend)@."
-        r.Experiments.fo_prog_runs r.Experiments.fo_prog_insns
-        (match vm_backend with
-         | `Interp -> "interp"
-         | `Compiled -> "compiled"
-         | `Checked -> "checked");
+      Format.printf "filter program: %d runs, %d instructions executed@."
+        r.Experiments.fo_prog_runs r.Experiments.fo_prog_insns;
     if r.Experiments.fo_pinned_after <> 0 then
       Format.printf "WARNING: %d buffers still pinned after completion@."
         r.Experiments.fo_pinned_after
@@ -477,7 +454,7 @@ let graph_cmd =
        ~doc:"Stream one file to N TCP clients through a splice graph (fan-out).")
     Term.(const run $ clients_arg $ size_kb_arg $ bandwidth_arg $ window_arg
           $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg $ domains_arg
-          $ engine_arg $ vm_backend_arg)
+          $ engine_arg)
 
 (* prog *)
 
@@ -533,7 +510,7 @@ let prog_cmd =
              accesses)
       in
       Format.printf
-        "range analysis: %d faultable sites, %d proven (checks elided)@."
+        "range analysis: %d faultable sites, %d proven@."
         (List.length accesses) proven;
       let tiers = Kpath_vm.Compile.block_tiers code in
       Array.iteri
@@ -570,8 +547,8 @@ let prog_cmd =
              the compilation tier that fired (named loop idiom, fused \
              loop, superinstructions, or plain chained closures), and the \
              range analysis's verdict at every faultable site — the \
-             offset interval and whether the runtime check was proven \
-             away — so a slow program is diagnosable without reading the \
+             offset interval and whether it was proven in bounds — so a \
+             slow program is diagnosable without reading the \
              compiler. A rejected program prints the violated rule and \
              instruction offset and exits 124, exactly as graph --prog \
              would.")

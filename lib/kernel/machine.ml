@@ -48,8 +48,7 @@ let create ?(config = Config.decstation_5000_200) ?engine () =
   let graph_ctx =
     Kpath_graph.Graph.make_ctx ~engine ~callout ~cache ~intr
       ~handler_cost:config.Config.splice_handler_cost
-      ~vm_insn_cost:config.Config.vm_insn_cost
-      ~vm_backend:config.Config.vm_backend ~trace ()
+      ~vm_insn_cost:config.Config.vm_insn_cost ~trace ()
   in
   {
     config;

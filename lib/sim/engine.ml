@@ -90,9 +90,11 @@ type t = {
 
 exception Stopped
 
+exception Pool_exhausted
+
 let stop () = raise Stopped
 
-let create ?(backend = `Heap) ?(tick = Time.ms 1) () =
+let create ?(backend = `Wheel) ?(tick = Time.ms 1) () =
   if Time.(tick <= Time.zero) then invalid_arg "Engine.create: tick <= 0";
   let pool = ref [||] in
   let cmp i j =
@@ -159,8 +161,7 @@ let alloc t ~time ~seq ~fn =
   end
   else begin
     let i = t.pool_len in
-    if i >= max_pool then
-      failwith "Engine: event pool exhausted (2^20 concurrent events)";
+    if i >= max_pool then raise Pool_exhausted;
     let r =
       {
         h_idx = i;

@@ -30,7 +30,8 @@ type backend = [ `Heap | `Wheel ]
 
 val create : ?backend:backend -> ?tick:Time.span -> unit -> t
 (** A fresh engine with the clock at {!Time.zero} and no events.
-    [backend] selects the queue implementation (default [`Heap]);
+    [backend] selects the queue implementation (default [`Wheel], the
+    one every {!Kpath_kernel.Config} machine runs);
     [tick] is the wheel's slot granularity (default 1 ms — pass the
     callout tick so level 0 resolves one callout slot per tick).
     Raises [Invalid_argument] if [tick <= 0]. *)
@@ -46,7 +47,8 @@ val pending : t -> int
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> handle
 (** [schedule t ~at fn] arranges for [fn ()] to run when the clock
-    reaches [at]. Raises [Invalid_argument] if [at] is in the past. *)
+    reaches [at]. Raises [Invalid_argument] if [at] is in the past, and
+    {!Pool_exhausted} if the event pool is full. *)
 
 val schedule_after : t -> Time.span -> (unit -> unit) -> handle
 (** [schedule_after t d fn] is [schedule t ~at:(Time.add (now t) d) fn]. *)
@@ -77,6 +79,11 @@ val step : t -> bool
 exception Stopped
 (** Raised by a callback to abort {!run} early; the clock stays at the
     aborting event's time and remaining events stay queued. *)
+
+exception Pool_exhausted
+(** Raised by {!schedule} when the event pool already holds its
+    capacity of 2{^20} concurrent events: the simulated population is
+    too large for one engine. The event is not queued. *)
 
 val stop : unit -> 'a
 (** [stop ()] raises {!Stopped}; sugar for use inside callbacks. *)

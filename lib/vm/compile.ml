@@ -49,6 +49,23 @@ let no_emit (_ : int) (_ : int) = ()
 
 let halt (_ : state) = ()
 
+(* Copy on write: the input buffer is aliased across edges, so the
+   first store of a run clones it. *)
+let cow st =
+  st.c_cur <- Bytes.copy st.c_data;
+  st.c_copied <- true
+
+(* Cold fault exits for payload accesses, kept out of line so the hot
+   closures hold only the bounds compare. [fault_steps bump] charges
+   the steps run up to the raise (see [step] in {!compile}). *)
+let load_oob ~fault_steps bump pc st off =
+  fault_steps bump st;
+  Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len pc
+
+let store_oob ~fault_steps bump pc st off =
+  fault_steps bump st;
+  Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len pc
+
 (* Register-resident byte-scan fold, the target of the loop-idiom
    recognition below: folds [cur.(k .. hi)] into [h] with the
    multiplicative hash step. Self tail call, every operand in a host
@@ -145,20 +162,9 @@ let is_terminator : Vm.insn -> bool = function
     true
   | _ -> false
 
-let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
+let[@kpath.intr] compile ?(idioms = true) p =
   let insns = Vm.insns p in
   let n = Array.length insns in
-  (* Elision oracle: [pv.(pc)] is true when the verifier's range
-     analysis proved the faultable site at [pc] can never fault, so the
-     arms below may drop the runtime test. This is the idiom library's
-     entry-test trick generalized to arbitrary verified programs — the
-     trusted surface is the analysis in [Vm], not anything here.
-     [~elide:false] keeps every check (the "checks-kept" backend the
-     bench ladder compares against). *)
-  let pv =
-    Array.init (max n 1) (fun pc ->
-        match Vm.bounds_at p pc with `Proven -> elide | `Checked -> false)
-  in
   let fuel = Vm.fuel p in
   (* Mask for indexed scratch access; only read when the program
      contains Ldsx/Stsx, in which case the verifier proved the arena a
@@ -243,11 +249,8 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
      partial progress via [fault_steps] ([j + 1] instructions ran, the
      faulting one included — exactly the interpreter's counter at the
      raise; inside a fused loop the batched pre-charge is unwound
-     first). [assume_copied] is set only for the second body chain of a
-     fused loop whose driver already proved [c_copied]: store arms then
-     skip the copy-on-write test (the bounds test stays — it must fault
-     exactly like the interpreter). *)
-  let step ~fault_steps ~assume_copied pc j (next : state -> unit) :
+     first). *)
+  let step ~fault_steps pc j (next : state -> unit) :
       state -> unit =
     let bump = j + 1 in
     match insns.(pc) with
@@ -291,23 +294,15 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
         Array.unsafe_set regs r (Array.unsafe_get regs r * v);
         next st
     | Vm.Div (r, Reg s) ->
-      if pv.(pc) then
-        (* Range analysis proved the divisor non-zero. *)
-        fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r
-            (Array.unsafe_get regs r / Array.unsafe_get regs s);
-          next st
-      else
-        fun st ->
-          let regs = st.c_regs in
-          let d = Array.unsafe_get regs s in
-          if d = 0 then begin
-            fault_steps bump st;
-            Vm.fault "division by zero at pc %d" pc
-          end;
-          Array.unsafe_set regs r (Array.unsafe_get regs r / d);
-          next st
+      fun st ->
+        let regs = st.c_regs in
+        let d = Array.unsafe_get regs s in
+        if d = 0 then begin
+          fault_steps bump st;
+          Vm.fault "division by zero at pc %d" pc
+        end;
+        Array.unsafe_set regs r (Array.unsafe_get regs r / d);
+        next st
     | Vm.Div (r, Imm v) ->
       (* The verifier rejected constant zero divisors. *)
       fun st ->
@@ -315,22 +310,15 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
         Array.unsafe_set regs r (Array.unsafe_get regs r / v);
         next st
     | Vm.Rem (r, Reg s) ->
-      if pv.(pc) then
-        fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r
-            (Array.unsafe_get regs r mod Array.unsafe_get regs s);
-          next st
-      else
-        fun st ->
-          let regs = st.c_regs in
-          let d = Array.unsafe_get regs s in
-          if d = 0 then begin
-            fault_steps bump st;
-            Vm.fault "division by zero at pc %d" pc
-          end;
-          Array.unsafe_set regs r (Array.unsafe_get regs r mod d);
-          next st
+      fun st ->
+        let regs = st.c_regs in
+        let d = Array.unsafe_get regs s in
+        if d = 0 then begin
+          fault_steps bump st;
+          Vm.fault "division by zero at pc %d" pc
+        end;
+        Array.unsafe_set regs r (Array.unsafe_get regs r mod d);
+        next st
     | Vm.Rem (r, Imm v) ->
       fun st ->
         let regs = st.c_regs in
@@ -397,32 +385,14 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
         Array.unsafe_set st.c_regs r st.c_lblk;
         next st
     | Vm.Ldp (r, o) ->
-      (* Cold path out of line; the hot path keeps the bounds test and
-         the byte load inline with no helper call. *)
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
+      let oob = load_oob ~fault_steps bump pc in
       (match o with
-       | Reg s when pv.(pc) ->
-         (* Range analysis proved 0 <= off < len on every path. *)
-         fun st ->
-           let regs = st.c_regs in
-           let off = Array.unsafe_get regs s in
-           Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-           next st
        | Reg s ->
          fun st ->
            let regs = st.c_regs in
            let off = Array.unsafe_get regs s in
            if off < 0 || off >= st.c_len then oob st off;
            Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-           next st
-       | Imm v when pv.(pc) ->
-         fun st ->
-           Array.unsafe_set st.c_regs r
-             (Char.code (Bytes.unsafe_get st.c_cur v));
            next st
        | Imm v ->
          fun st ->
@@ -431,42 +401,8 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
              (Char.code (Bytes.unsafe_get st.c_cur v));
            next st)
     | Vm.Stp (o_off, o_v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      (* Copy on write: the input buffer is aliased across edges. *)
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      (* Proven arms drop only the bounds test; the copy-on-write logic
-         is behavior, not a check, and stays byte-identical. *)
+      let oob = store_oob ~fault_steps bump pc in
       (match (o_off, o_v) with
-       | Reg a, Reg b when assume_copied && pv.(pc) ->
-         fun st ->
-           let regs = st.c_regs in
-           let off = Array.unsafe_get regs a in
-           Bytes.unsafe_set st.c_cur off
-             (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-           next st
-       | Reg a, Reg b when assume_copied ->
-         fun st ->
-           let regs = st.c_regs in
-           let off = Array.unsafe_get regs a in
-           if off < 0 || off >= st.c_len then oob st off;
-           Bytes.unsafe_set st.c_cur off
-             (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-           next st
-       | Reg a, Reg b when pv.(pc) ->
-         fun st ->
-           let regs = st.c_regs in
-           let off = Array.unsafe_get regs a in
-           if not st.c_copied then cow st;
-           Bytes.unsafe_set st.c_cur off
-             (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-           next st
        | Reg a, Reg b ->
          fun st ->
            let regs = st.c_regs in
@@ -476,26 +412,6 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
            Bytes.unsafe_set st.c_cur off
              (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
            next st
-       | Reg a, Imm v when assume_copied && pv.(pc) ->
-         let b = Char.unsafe_chr (v land 0xff) in
-         fun st ->
-           let off = Array.unsafe_get st.c_regs a in
-           Bytes.unsafe_set st.c_cur off b;
-           next st
-       | Reg a, Imm v when assume_copied ->
-         let b = Char.unsafe_chr (v land 0xff) in
-         fun st ->
-           let off = Array.unsafe_get st.c_regs a in
-           if off < 0 || off >= st.c_len then oob st off;
-           Bytes.unsafe_set st.c_cur off b;
-           next st
-       | Reg a, Imm v when pv.(pc) ->
-         let b = Char.unsafe_chr (v land 0xff) in
-         fun st ->
-           let off = Array.unsafe_get st.c_regs a in
-           if not st.c_copied then cow st;
-           Bytes.unsafe_set st.c_cur off b;
-           next st
        | Reg a, Imm v ->
          let b = Char.unsafe_chr (v land 0xff) in
          fun st ->
@@ -504,24 +420,12 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
            if not st.c_copied then cow st;
            Bytes.unsafe_set st.c_cur off b;
            next st
-       | Imm o, Reg b when pv.(pc) ->
-         fun st ->
-           if not st.c_copied then cow st;
-           Bytes.unsafe_set st.c_cur o
-             (Char.unsafe_chr (Array.unsafe_get st.c_regs b land 0xff));
-           next st
        | Imm o, Reg b ->
          fun st ->
            if o < 0 || o >= st.c_len then oob st o;
            if not st.c_copied then cow st;
            Bytes.unsafe_set st.c_cur o
              (Char.unsafe_chr (Array.unsafe_get st.c_regs b land 0xff));
-           next st
-       | Imm o, Imm v when pv.(pc) ->
-         let b = Char.unsafe_chr (v land 0xff) in
-         fun st ->
-           if not st.c_copied then cow st;
-           Bytes.unsafe_set st.c_cur o b;
            next st
        | Imm o, Imm v ->
          let b = Char.unsafe_chr (v land 0xff) in
@@ -595,25 +499,12 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
      any register aliasing — the only thing removed is the indirect
      call between the two. Pairs that can fault put the payload
      instruction first, so the fault charge is [j + 1] as usual. *)
-  let step2 ~fault_steps ~assume_copied pc j (next : state -> unit) :
+  let step2 ~fault_steps pc j (next : state -> unit) :
       (state -> unit) option =
     let bump = j + 1 in
     match (insns.(pc), insns.(pc + 1)) with
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2) when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          next st)
     | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
+      let oob = load_oob ~fault_steps bump pc in
       Some
         (fun st ->
           let regs = st.c_regs in
@@ -623,20 +514,8 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
           Array.unsafe_set regs r2
             (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
           next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v) when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v);
-          next st)
     | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
+      let oob = load_oob ~fault_steps bump pc in
       Some
         (fun st ->
           let regs = st.c_regs in
@@ -674,59 +553,18 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
           Array.unsafe_set regs r (Array.unsafe_get regs r + v);
           Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v2);
           next st)
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) when pv.(pc) ->
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st)
     | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
+      let oob = store_oob ~fault_steps bump pc in
       Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-             next st)
+        (fun st ->
+          let regs = st.c_regs in
+          let off = Array.unsafe_get regs a in
+          if off < 0 || off >= st.c_len then oob st off;
+          if not st.c_copied then cow st;
+          Bytes.unsafe_set st.c_cur off
+            (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
+          Array.unsafe_set regs r (Array.unsafe_get regs r + v);
+          next st)
     | _ -> None
   in
   (* One curated triple on top of the pairs: byte load + fold + mix is
@@ -735,23 +573,8 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       =
     let bump = j + 1 in
     match (insns.(pc), insns.(pc + 1), insns.(pc + 2)) with
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2), Vm.Mul (r3, Imm v)
-      when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
     | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2), Vm.Mul (r3, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
+      let oob = load_oob ~fault_steps bump pc in
       Some
         (fun st ->
           let regs = st.c_regs in
@@ -762,22 +585,8 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
             (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
           Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
           next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v2), Vm.Mul (r3, Imm v)
-      when pv.(pc) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
     | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v2), Vm.Mul (r3, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
+      let oob = load_oob ~fault_steps bump pc in
       Some
         (fun st ->
           let regs = st.c_regs in
@@ -791,7 +600,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
   in
   (* Fused-tail pairs: the last two instructions of a fused loop body,
      one closure, no continuation call at all. *)
-  let tail_step2 ~fault_steps ~assume_copied pc j : (state -> unit) option =
+  let tail_step2 ~fault_steps pc j : (state -> unit) option =
     let bump = j + 1 in
     match (insns.(pc), insns.(pc + 1)) with
     | Vm.And (r, Imm m), Vm.Add (r2, Imm v) ->
@@ -812,55 +621,17 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
           let regs = st.c_regs in
           Array.unsafe_set regs r (Array.unsafe_get regs r + v);
           Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v2))
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) when pv.(pc) ->
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
-      Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v)
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v))
     | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) ->
-      let oob st off =
-        fault_steps bump st;
-        Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len
-          pc
-      in
-      let cow st =
-        st.c_cur <- Bytes.copy st.c_data;
-        st.c_copied <- true
-      in
+      let oob = store_oob ~fault_steps bump pc in
       Some
-        (if assume_copied then
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v)
-         else
-           fun st ->
-             let regs = st.c_regs in
-             let off = Array.unsafe_get regs a in
-             if off < 0 || off >= st.c_len then oob st off;
-             if not st.c_copied then cow st;
-             Bytes.unsafe_set st.c_cur off
-               (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-             Array.unsafe_set regs r (Array.unsafe_get regs r + v))
+        (fun st ->
+          let regs = st.c_regs in
+          let off = Array.unsafe_get regs a in
+          if off < 0 || off >= st.c_len then oob st off;
+          if not st.c_copied then cow st;
+          Bytes.unsafe_set st.c_cur off
+            (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
+          Array.unsafe_set regs r (Array.unsafe_get regs r + v))
     | _ -> None
   in
   (* The last instruction of a fused loop body: same arms as [step] for
@@ -868,7 +639,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
      fused-loop driver owns control, so the chain should just return
      instead of paying an indirect call into [halt] every iteration.
      Rarer shapes fall back to the chained form. *)
-  let tail_step ~fault_steps ~assume_copied pc j : state -> unit =
+  let tail_step ~fault_steps pc j : state -> unit =
     match insns.(pc) with
     | Vm.Mov (r, Reg s) ->
       fun st ->
@@ -965,7 +736,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
         Array.unsafe_set st.c_scratch
           (Array.unsafe_get st.c_regs ri land smask)
           v
-    | _ -> step ~fault_steps ~assume_copied pc j halt
+    | _ -> step ~fault_steps pc j halt
   in
   (* A loop whose whole body (through its End) is a single basic block
      runs a known number of instructions per iteration, so the Loop
@@ -983,43 +754,26 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       st.c_steps <-
         st.c_steps + bump - (Array.unsafe_get st.c_lleft d * body_nb)
     in
-    let rec build ~assume_copied pc =
+    let rec build pc =
       let j = pc - (lp + 1) in
       if pc > end_pc - 1 then halt
-      else if pc = end_pc - 1 then tail_step ~fault_steps ~assume_copied pc j
+      else if pc = end_pc - 1 then tail_step ~fault_steps pc j
       else if pc = end_pc - 2 then
-        match tail_step2 ~fault_steps ~assume_copied pc j with
+        match tail_step2 ~fault_steps pc j with
         | Some f -> f
         | None -> (
-          match
-            step2 ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 2))
-          with
+          match step2 ~fault_steps pc j (build (pc + 2)) with
           | Some f -> f
-          | None ->
-            step ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 1)))
+          | None -> step ~fault_steps pc j (build (pc + 1)))
       else
-        match step3 ~fault_steps pc j (build ~assume_copied (pc + 3)) with
+        match step3 ~fault_steps pc j (build (pc + 3)) with
         | Some f -> f
         | None -> (
-          match
-            step2 ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 2))
-          with
+          match step2 ~fault_steps pc j (build (pc + 2)) with
           | Some f -> f
-          | None ->
-            step ~fault_steps ~assume_copied pc j (build ~assume_copied (pc + 1)))
+          | None -> step ~fault_steps pc j (build (pc + 1)))
     in
-    let has_stp = ref false in
-    for pc = lp + 1 to end_pc - 1 do
-      match insns.(pc) with Vm.Stp _ -> has_stp := true | _ -> ()
-    done;
-    (* A store-bearing body gets a second chain compiled under the
-       proven-copied assumption: after the first iteration's Stp forces
-       the clone, the driver switches chains and the remaining
-       iterations pay no per-store copy-on-write test. *)
-    let fast =
-      if !has_stp then Some (build ~assume_copied:true (lp + 1)) else None
-    in
-    (d, body_nb, build ~assume_copied:false (lp + 1), fast)
+    (d, body_nb, build (lp + 1))
   in
   (* The terminator of the block [first..last]: batch the whole block's
      step count ([nb] instructions all executed by the time control
@@ -1095,37 +849,15 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
         && bounds.(body_blk).bb_last = end_pc
       in
       if fusable then begin
-        let d, body_nb, body, body_fast = fused_body lp end_pc in
-        (* Generic fused iteration. A store-bearing body runs its
-           checked chain only until the first Stp forces the
-           copy-on-write clone, then switches to the proven-copied
-           chain for the rest of the count — the per-iteration clone
-           test is paid at most once per run instead of per store. *)
-        let iterate =
-          match body_fast with
-          | None ->
-            fun st c ->
-              st.c_steps <- st.c_steps + (c * body_nb);
-              let ll = st.c_lleft in
-              for i = c downto 1 do
-                Array.unsafe_set ll d i;
-                body st
-              done
-          | Some fast ->
-            fun st c ->
-              st.c_steps <- st.c_steps + (c * body_nb);
-              let ll = st.c_lleft in
-              let i = ref c in
-              while !i >= 1 && not st.c_copied do
-                Array.unsafe_set ll d !i;
-                body st;
-                decr i
-              done;
-              while !i >= 1 do
-                Array.unsafe_set ll d !i;
-                fast st;
-                decr i
-              done
+        let d, body_nb, body = fused_body lp end_pc in
+        (* Generic fused iteration. *)
+        let iterate st c =
+          st.c_steps <- st.c_steps + (c * body_nb);
+          let ll = st.c_lleft in
+          for i = c downto 1 do
+            Array.unsafe_set ll d i;
+            body st
+          done
         in
         (* Loop-idiom recognition, the pattern library. Every idiom is
            a body that touches payload offsets [i .. i+c-1] through a
@@ -1240,10 +972,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
                     let i0 = Array.unsafe_get regs i in
                     if i0 >= 0 && c <= st.c_len - i0 then begin
                       st.c_steps <- st.c_steps + (c * body_nb);
-                      if not st.c_copied then begin
-                        st.c_cur <- Bytes.copy st.c_data;
-                        st.c_copied <- true
-                      end;
+                      if not st.c_copied then cow st;
                       let v = scan st.c_cur (i0 + c - 1) i0 (get_m st) 0 in
                       Array.unsafe_set regs r v;
                       Array.unsafe_set regs i (i0 + c)
@@ -1257,10 +986,7 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
            (match idiom with
             | Some (name, _) -> Printf.sprintf "fused loop: %s idiom" name
             | None ->
-              Printf.sprintf "fused loop: generic %d-insn body%s" (body_nb - 1)
-                (match body_fast with
-                 | Some _ -> ", cow hoisted"
-                 | None -> "")));
+              Printf.sprintf "fused loop: generic %d-insn body" (body_nb - 1)));
         tiers.(body_blk) <-
           (match idiom with
            | Some (name, _) -> Printf.sprintf "body of b%d (%s idiom)" bidx name
@@ -1471,21 +1197,15 @@ let[@kpath.intr] compile ?(idioms = true) ?(elide = true) p =
       if pc > straight_hi then tail
       else if pc < straight_hi then
         match
-          step2 ~fault_steps:plain_fault_steps ~assume_copied:false pc
-            (pc - first)
-            (build (pc + 2))
+          step2 ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 2))
         with
         | Some f ->
           incr supers;
           f
         | None ->
-          step ~fault_steps:plain_fault_steps ~assume_copied:false pc
-            (pc - first)
-            (build (pc + 1))
+          step ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 1))
       else
-        step ~fault_steps:plain_fault_steps ~assume_copied:false pc
-          (pc - first)
-          (build (pc + 1))
+        step ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 1))
     in
     let f = build first in
     if tiers.(bidx) = "" then

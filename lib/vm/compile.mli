@@ -44,23 +44,23 @@
     Anything an entry test cannot prove (or any shape not matched)
     falls back to the generic path and faults bit-identically.
     Register, scratch and loop-book indices were range-checked by the
-    verifier and compile to unchecked accesses. Payload offsets are
-    runtime values, but the verifier's range analysis classifies each
-    load/store (and register-divisor [Div]/[Rem]) site: [`Proven]
-    sites compile to unchecked byte ops on the generic and fused
-    tiers — the idiom library's entry-test trick generalized to
-    arbitrary verified programs — while [`Checked] sites keep their
-    runtime test and the interpreter's byte-identical fault strings.
+    verifier and compile to unchecked accesses. Payload offsets and
+    register divisors are runtime values: outside the idiom kernels,
+    whose single entry test covers the whole scan, every payload
+    load/store and register-divisor [Div]/[Rem] keeps its runtime test
+    and faults with the interpreter's byte-identical message.
 
-    The trusted surface is unchanged: {!compile} consumes only
-    {!Vm.prog} values, which exist only by passing {!Vm.verify} — the
-    compiler relies on the verifier's invariants (matched [Loop]/[End]
-    nesting, jumps that stay inside their loop region, static scratch
-    bounds, non-zero immediate divisors, and the range analysis's
-    [`Proven] verdicts) rather than re-checking them, exactly as the
-    interpreter does. Payload bounds and register divisors the
-    analysis could not prove are still checked per access and fault
-    with the interpreter's byte-identical messages.
+    The verifier's range analysis has two roles: it rejects programs
+    whose access provably always faults (["range-oob"]), and its
+    per-site verdicts ({!Vm.accesses}) are diagnostics for [kpathctl
+    prog] and the corpus report.
+
+    The compiler consumes only {!Vm.prog} values, which exist only by
+    passing {!Vm.verify}, and relies on the verifier's structural
+    invariants (matched [Loop]/[End] nesting, jumps that stay inside
+    their loop region, static scratch bounds, non-zero immediate
+    divisors) rather than re-checking them, exactly as the interpreter
+    does.
 
     Observational equivalence is exact, not approximate: for every
     verified program, payload and per-edge state, {!exec} returns the
@@ -78,21 +78,14 @@ type code
     shareable — attach one [code] to any number of edges, each with
     its own {!state}. *)
 
-val compile : ?idioms:bool -> ?elide:bool -> Vm.prog -> code
+val compile : ?idioms:bool -> Vm.prog -> code
 (** Translate a verified program. Load-time cost is linear in the
     program; running it allocates nothing beyond what the interpreter
     allocates (the copy-on-write clone on the first [Stp] and the
     {!Vm.run} record). [?idioms] (default [true]) enables the
     loop-idiom pass; [~idioms:false] keeps only the generic fused
     path — the benches use it to measure what each idiom buys, and the
-    parity suite uses it as a third differential backend. [?elide]
-    (default [true]) lets the generic and fused tiers drop the runtime
-    bounds or zero-divisor test at every site the range analysis
-    marked [`Proven] (see {!Vm.bounds_at}); [~elide:false] keeps every
-    check — the benches use it to price what the analysis buys, and
-    the parity suite runs it as a fourth backend. Elision never
-    changes observable behavior: [`Proven] sites cannot fault, and
-    step accounting and copy-on-write are preserved either way. *)
+    parity suite uses it as a third differential backend. *)
 
 val prog : code -> Vm.prog
 (** The verified program this code was compiled from. *)

@@ -57,9 +57,8 @@ val bounded_copy_src : string
 (** Mirrors the 32-byte header into the next 32 bytes (copy-on-write),
     skipping blocks shorter than 64 bytes. The leading [jge len]
     guard lets the range analysis prove every payload access of the
-    loop in bounds, so the compiled loop runs with no runtime payload
-    checks — the guard-then-raw-copy shape that demonstrates the
-    [`Proven] path end to end. *)
+    loop in bounds — the guard-then-raw-copy shape whose verdict table
+    is all [`Proven]. *)
 
 val bounded_copy : unit -> Vm.prog
 

@@ -55,8 +55,8 @@ let max_insns = 4096
 
 (* Range-analysis verdict for one faultable site: a payload load/store
    or a register-divisor Div/Rem. [`Proven] means the analysis showed
-   the access cannot fault on any admissible payload, so the compiler
-   may elide its runtime check. *)
+   the access cannot fault on any admissible payload. Verdicts are
+   diagnostics: both backends test every such access at run time. *)
 type access = {
   a_pc : int;
   a_kind : [ `Load | `Store | `Div ];
@@ -72,10 +72,8 @@ type prog = {
   p_cost : int;
   (* For [Loop] at pc, the pc of its matching [End]; -1 elsewhere. *)
   p_end_of : int array;
-  (* Range-analysis results: one entry per faultable site, in pc order,
-     and a per-pc projection of the [`Proven] bit for the compiler. *)
+  (* Range-analysis results: one entry per faultable site, in pc order. *)
   p_accesses : access list;
-  p_proven : bool array;
 }
 
 type diag = { d_rule : string; d_pc : int; d_msg : string }
@@ -165,11 +163,10 @@ let worst_case insns end_of =
    payload-relative ([B (1, k)] reads "len + k"), plus a "known
    multiple-of" fact for stride reasoning. Its product is the per-site
    verdict table above: payload accesses whose interval provably sits
-   inside [0, len) are [`Proven] and compile to unchecked byte ops;
-   everything else stays [`Checked] with the runtime test and fault
-   string intact. An access whose interval provably misses every
-   admissible payload (always negative, or at/past a guard-derived len
-   cap) is rejected outright as "range-oob".
+   inside [0, len) are [`Proven], everything else [`Checked]. An
+   access whose interval provably misses every admissible payload
+   (always negative, or at/past a guard-derived len cap) is rejected
+   outright as "range-oob".
 
    Soundness under wraparound: payload lengths obey
    [len <= Sys.max_string_length < 2^57], and every concrete endpoint
@@ -876,11 +873,7 @@ let analyze_ranges insns end_of encl n =
         :: !accs
     | None -> ()
   done;
-  let proven =
-    Array.init (max n 1) (fun pc ->
-        match verdicts.(pc) with Some (_, p, _) -> p | None -> false)
-  in
-  (!accs, proven)
+  !accs
 
 let check_insn ~scratch ~context ~encl ~n pc insn =
   let jump off =
@@ -986,7 +979,7 @@ let verify spec =
     (* Range analysis runs last so structurally broken programs keep
        their structural rules; it yields the per-site verdict table and
        rejects provably-out-of-range accesses ("range-oob"). *)
-    let acc, proven = analyze_ranges insns end_of encl n in
+    let acc = analyze_ranges insns end_of encl n in
     Ok
       {
         p_insns = insns;
@@ -996,7 +989,6 @@ let verify spec =
         p_cost = cost;
         p_end_of = end_of;
         p_accesses = acc;
-        p_proven = proven;
       }
   with Reject d -> Error d
 
@@ -1011,10 +1003,6 @@ let prog_context p = p.p_context
 let worst_cost p = p.p_cost
 
 let accesses p = p.p_accesses
-
-let bounds_at p pc =
-  if pc >= 0 && pc < Array.length p.p_proven && p.p_proven.(pc) then `Proven
-  else `Checked
 
 (* {1 Interpreter} *)
 

@@ -157,16 +157,16 @@ val verify : spec -> (prog, diag) result
     through [Loop] back-edges via a monotone-counter envelope. Its
     verdict table (see {!accesses}) marks every payload load/store and
     register-divisor [Div]/[Rem] site [`Proven] — cannot fault on any
-    admissible payload — or [`Checked]; the compiled backend elides the
-    runtime test exactly at [`Proven] sites. *)
+    admissible payload — or [`Checked]. The verdicts are diagnostics
+    ([kpathctl prog], the corpus report): both backends test every
+    such site at run time whatever its verdict. *)
 
 type access = {
   a_pc : int;  (** instruction offset of the faultable site *)
   a_kind : [ `Load | `Store | `Div ];
   a_bounds : [ `Proven | `Checked ];
       (** [`Proven]: the range analysis showed the access in bounds (or
-          the divisor non-zero) on every path and payload, so the
-          runtime check may be elided. *)
+          the divisor non-zero) on every path and payload. *)
   a_range : string;
       (** the analyzed interval, e.g. ["off in [0, len-1]"], or
           ["unreachable"] for statically dead sites *)
@@ -176,10 +176,6 @@ type access = {
 val accesses : prog -> access list
 (** Every faultable site of the program in pc order: payload loads and
     stores, and [Div]/[Rem] with a register divisor. *)
-
-val bounds_at : prog -> int -> [ `Proven | `Checked ]
-(** The verdict at one pc; [`Checked] for pcs that are not a faultable
-    site. This is the compiler's elision oracle. *)
 
 val diag_to_string : diag -> string
 (** ["rule at pc N: msg"] — one line, stable format. *)

@@ -754,18 +754,7 @@ type prog_row = {
 }
 
 let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
-    ?machine_config ?vm_backend () =
-  let machine_config =
-    (* An explicit backend overrides the config's: the bench sweeps
-       price both backends on otherwise identical machines. *)
-    match vm_backend with
-    | None -> machine_config
-    | Some b ->
-      let c =
-        Option.value machine_config ~default:Config.decstation_5000_200
-      in
-      Some { c with Config.vm_backend = b }
-  in
+    ?machine_config () =
   let s = make_setup ~disk ~file_bytes ?machine_config () in
   cold_caches s;
   let m = s.machine in

@@ -87,6 +87,24 @@ let test_stop () =
   Alcotest.(check int) "stopped early" 1 !fired;
   Alcotest.check Util.time "clock at stop" (Time.ms 2) (Engine.now e)
 
+let test_default_backend () =
+  (* Machines run the wheel (Config.sim_engine); a bare [create] must
+     exercise the same queue. *)
+  Alcotest.(check bool) "default is the wheel" true
+    (Engine.backend (Engine.create ()) = `Wheel)
+
+let test_pool_exhausted () =
+  let e = Engine.create () in
+  let cap = 1 lsl 20 in
+  let nop () = () in
+  for i = 1 to cap do
+    ignore (Engine.schedule e ~at:(Time.us i) nop)
+  done;
+  Alcotest.(check int) "pool full" cap (Engine.pending e);
+  Alcotest.check_raises "one more is a typed error" Engine.Pool_exhausted
+    (fun () -> ignore (Engine.schedule e ~at:(Time.us 1) nop));
+  Alcotest.(check int) "refused event not queued" cap (Engine.pending e)
+
 let prop_events_fire_in_order =
   QCheck.Test.make ~name:"events fire in (time, seq) order" ~count:200
     QCheck.(list_of_size Gen.(1 -- 40) (int_bound 1_000))
@@ -116,5 +134,9 @@ let suite =
     Alcotest.test_case "run ~until" `Quick test_run_until;
     Alcotest.test_case "single stepping" `Quick test_step;
     Alcotest.test_case "early stop" `Quick test_stop;
+    Alcotest.test_case "default backend is the wheel" `Quick
+      test_default_backend;
+    Alcotest.test_case "pool exhaustion raises Pool_exhausted" `Quick
+      test_pool_exhausted;
     Util.qcheck prop_events_fire_in_order;
   ]

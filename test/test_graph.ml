@@ -583,33 +583,6 @@ let test_prog_checksum_bit_identical () =
       Fs.fsync dfs c1;
       check_pattern dfs c1 ~segments:[ (0, 256 * 1024) ])
 
-let test_prog_backend_parity () =
-  (* The whole fan-out experiment — machine, syscalls, graph, filter
-     program — must be bit-identical under the interpreter and the
-     closure-compiled backend: the backend is threaded through the
-     machine config, and only host wall-clock may differ. *)
-  let run vm_backend =
-    let machine_config = { Config.decstation_5000_200 with Config.vm_backend } in
-    Experiments.measure_fanout ~clients:4 ~file_bytes:(256 * 1024)
-      ~bandwidth:40e6
-      ~filters:[ Graph.Prog (Samples.checksum ()) ]
-      ~machine_config ()
-  in
-  let i = run `Interp and c = run `Compiled in
-  Alcotest.(check bool) "interp verified" true i.Experiments.fo_verified;
-  Alcotest.(check bool) "compiled verified" true c.Experiments.fo_verified;
-  Alcotest.(check int) "device reads" i.Experiments.fo_device_reads
-    c.Experiments.fo_device_reads;
-  Alcotest.(check int) "events" i.Experiments.fo_events c.Experiments.fo_events;
-  Alcotest.(check (float 0.0)) "simulated seconds" i.Experiments.fo_seconds
-    c.Experiments.fo_seconds;
-  Alcotest.(check (float 0.0)) "server CPU" i.Experiments.fo_server_cpu_sec
-    c.Experiments.fo_server_cpu_sec;
-  Alcotest.(check int) "program runs" i.Experiments.fo_prog_runs
-    c.Experiments.fo_prog_runs;
-  Alcotest.(check int) "instructions charged" i.Experiments.fo_prog_insns
-    c.Experiments.fo_prog_insns
-
 let test_prog_drop_accounting () =
   (* A dropper program settles dropped blocks without delivering them;
      the edge still completes, and the refcount discipline holds with a
@@ -913,8 +886,6 @@ let suite =
     Alcotest.test_case "trace and stats" `Quick test_trace_and_stats;
     Alcotest.test_case "prog checksum bit-identical" `Quick
       test_prog_checksum_bit_identical;
-    Alcotest.test_case "prog backend parity through the machine" `Quick
-      test_prog_backend_parity;
     Alcotest.test_case "prog drop accounting" `Quick test_prog_drop_accounting;
     Alcotest.test_case "prog fault mid-cluster" `Quick
       test_prog_fault_mid_cluster;

@@ -19,15 +19,14 @@ let pp_verdict fmt = function
 
 let verdict = Alcotest.testable pp_verdict ( = )
 
-(* Run [p] under the interpreter and THREE compiled variants — the
-   full compiler, the idiom-free one (generic fused paths only) and
-   the checks-kept one (no range-analysis elision) — over the same
-   block sequence (one persistent state each, so scratch carry-over is
-   compared too) and assert every observable of every run matches the
-   interpreter's. The no-idiom variant is what every idiom falls back
-   to, and the checked variant is what elision claims to be equivalent
-   to, so any divergence between the four is a compiler bug by
-   construction. [what] names the program in failures. *)
+(* Run [p] under the interpreter and two compiled variants — the full
+   compiler and the idiom-free one (generic fused paths only) — over
+   the same block sequence (one persistent state each, so scratch
+   carry-over is compared too) and assert every observable of every
+   run matches the interpreter's. The no-idiom variant is what every
+   idiom falls back to, so any divergence between the three is a
+   compiler bug by construction. [what] names the program in
+   failures. *)
 let assert_parity ?(what = "prog") p blocks =
   let ist = Vm.new_state p in
   let variants =
@@ -36,7 +35,6 @@ let assert_parity ?(what = "prog") p blocks =
       [
         ("compiled", Compile.compile p);
         ("compiled[no-idiom]", Compile.compile ~idioms:false p);
-        ("compiled[checked]", Compile.compile ~idioms:false ~elide:false p);
       ]
   in
   List.iteri
@@ -554,8 +552,6 @@ let prop_differential =
             [
               ("compiled", Compile.compile p);
               ("compiled[no-idiom]", Compile.compile ~idioms:false p);
-              ( "compiled[checked]",
-                Compile.compile ~idioms:false ~elide:false p );
             ]
         in
         let check_block data lblk =
@@ -608,10 +604,9 @@ let prop_differential =
    the guard, some are not, and some are provably wrong (tolerated as
    range-oob rejections). For every accepted program and a ladder of
    adversarial payload lengths clustered around the guard bound, the
-   property asserts the soundness contract directly: the interpreter
-   runs FIRST, and a fault whose pc the analysis marked [`Proven] fails
-   the suite before any unchecked compiled code runs. Then all three
-   compiled variants (idioms, no-idiom, checks-kept) must match the
+   property asserts the soundness contract directly: a fault under the
+   interpreter whose pc the analysis marked [`Proven] fails the suite.
+   Then both compiled variants (idioms, no-idiom) must match the
    interpreter on every observable. *)
 
 let fault_pc msg =
@@ -719,17 +714,19 @@ let prop_guarded_sound =
             Vm.exec p (Vm.new_state p) ~data ~len:l ~lblk:13
               ~emit:(fun k v -> iemits := (k, v) :: !iemits)
           in
-          (* Soundness first, before any unchecked code runs: a fault
-             at a pc the analysis called Proven is an analysis bug. *)
+          (* A fault at a pc the analysis called Proven is an analysis
+             bug. *)
           (match ir.Vm.r_verdict with
            | Vm.Fault m -> (
              match fault_pc m with
-             | Some pc -> (
-               match Vm.bounds_at p pc with
-               | `Proven ->
+             | Some pc ->
+               if
+                 List.exists
+                   (fun a -> a.Vm.a_pc = pc && a.Vm.a_bounds = `Proven)
+                   (Vm.accesses p)
+               then
                  QCheck.Test.fail_reportf
                    "len %d: proven site faulted: %s" l m
-               | `Checked -> ())
              | None -> ())
            | _ -> ());
           List.iter
@@ -758,8 +755,6 @@ let prop_guarded_sound =
             [
               ("compiled", Compile.compile p);
               ("compiled[no-idiom]", Compile.compile ~idioms:false p);
-              ( "compiled[checked]",
-                Compile.compile ~idioms:false ~elide:false p );
             ]
         in
         (* Adversarial lengths cluster around the guard bound, where a
