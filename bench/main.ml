@@ -485,7 +485,7 @@ let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
    around it. The sweep rows below price whole graph copies, where
    engine events and block pumping swamp the VM's own host cost; this
    is the number the compiler actually targets. [`NoIdiom] compiles
-   with the pattern library off — generic fused loops only — which is
+   with the pattern library off — block-chained loops only — which is
    exactly what each idiom's fallback path runs, so interp/noidiom/
    compiled is the full tier ladder for a program. *)
 let vm_micro_ns_per_run ?prog ~runs backend =
@@ -556,14 +556,14 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
     "VM-only, FNV checksum over one 8 KB block: interp %.0f ns/run, compiled \
      %.0f ns/run -- %.1fx host speedup\n"
     ni nc (ni /. nc);
-  (* Tier ladder per idiom: interpreter, generic fused loop
-     (~idioms:false), and the recognized idiom. "gain" is generic/idiom
+  (* Tier ladder per idiom: interpreter, block-chained loop
+     (~idioms:false), and the recognized idiom. "gain" is chained/idiom
      -- the value of pattern recognition; "/byte vs fold" compares each
      idiom's per-byte cost to the byte-scan fold's. *)
   Printf.printf
     "VM-only per idiom, one 8 KB block (ns/run):\n%-13s | %9s | %9s | %9s | \
      %7s | %13s\n"
-    "program" "interp" "generic" "idiom" "gain" "/byte vs fold";
+    "program" "interp" "chained" "idiom" "gain" "/byte vs fold";
   let fold_per_byte = ref 0.0 in
   List.iter
     (fun (name, p) ->

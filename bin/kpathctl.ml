@@ -16,6 +16,17 @@ open Kpath_workloads
 
 let mb = 1024 * 1024
 
+(* A bad argument value: one line and exit 124, Cmdliner's code for a
+   command-line error. *)
+let usage_error msg =
+  Format.eprintf "kpathctl: %s@." msg;
+  exit 124
+
+(* The [--size-mb] file size in bytes. *)
+let file_bytes size_mb =
+  if size_mb < 1 then usage_error "--size-mb must be at least 1";
+  size_mb * mb
+
 let disk_conv =
   let parse = function
     | "ram" -> Ok `Ram
@@ -60,10 +71,7 @@ let engine_arg =
                  either way; only host speed differs.")
 
 let config_with_cluster max_cluster sim_engine =
-  if max_cluster < 1 then begin
-    Format.eprintf "kpathctl: --max-cluster must be at least 1@.";
-    exit 124
-  end;
+  if max_cluster < 1 then usage_error "--max-cluster must be at least 1";
   { Config.decstation_5000_200 with Config.max_cluster; sim_engine }
 
 (* info *)
@@ -125,7 +133,7 @@ let copy_cmd =
     match trace with
     | None ->
       let m =
-        Experiments.measure_copy ~mode ~disk ~file_bytes:(size_mb * mb)
+        Experiments.measure_copy ~mode ~disk ~file_bytes:(file_bytes size_mb)
           ~same_disk ~machine_config ?config ()
       in
       Format.printf "%s %d MB on %s%s: %.0f KB/s in %.2fs, verified=%b@."
@@ -139,7 +147,7 @@ let copy_cmd =
       (* Traced run: drive the setup by hand so the trace ring can be
          enabled before the copy starts. *)
       let s =
-        Experiments.make_setup ~disk ~file_bytes:(size_mb * mb) ~same_disk
+        Experiments.make_setup ~disk ~file_bytes:(file_bytes size_mb) ~same_disk
           ~machine_config ()
       in
       Experiments.cold_caches s;
@@ -190,10 +198,9 @@ let cluster_cmd =
              ~doc:"Cluster sizes to sweep (blocks per transfer).")
   in
   let run disk size_mb sizes =
-    if List.exists (fun s -> s < 1) sizes then begin
-      Format.eprintf "kpathctl: --sizes entries must be at least 1@.";
-      exit 124
-    end;
+    if sizes = [] then usage_error "--sizes must name at least one size";
+    if List.exists (fun s -> s < 1) sizes then
+      usage_error "--sizes entries must be at least 1";
     List.iter
       (fun r ->
         Format.printf
@@ -201,7 +208,7 @@ let cluster_cmd =
           (Experiments.disk_name r.Experiments.cl_disk)
           r.Experiments.cl_cluster r.Experiments.cl_scp_kbps
           r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp)
-      (Experiments.cluster_sweep ~disk ~file_bytes:(size_mb * mb) sizes)
+      (Experiments.cluster_sweep ~disk ~file_bytes:(file_bytes size_mb) sizes)
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -227,7 +234,7 @@ let table1_cmd =
           (Experiments.disk_name r.Experiments.av_disk)
           r.Experiments.av_f_cp r.Experiments.av_f_scp
           r.Experiments.av_improvement r.Experiments.av_pct)
-      (Experiments.table1 ~file_bytes:(size_mb * mb) ~ops ~pace ())
+      (Experiments.table1 ~file_bytes:(file_bytes size_mb) ~ops ~pace ())
   in
   Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1 (CPU availability).")
     Term.(const run $ size_arg $ ops_arg $ natural_arg)
@@ -242,7 +249,7 @@ let table2_cmd =
           (Experiments.disk_name r.Experiments.tp_disk)
           r.Experiments.tp_scp_kbps r.Experiments.tp_cp_kbps
           r.Experiments.tp_pct_improvement)
-      (Experiments.table2 ~file_bytes:(size_mb * mb) ())
+      (Experiments.table2 ~file_bytes:(file_bytes size_mb) ())
   in
   Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 (throughput).")
     Term.(const run $ size_arg)
@@ -341,10 +348,6 @@ let graph_cmd =
   in
   let run clients size_kb bandwidth window throttle checksum prog trace domains
       engine =
-    let usage_error msg =
-      Format.eprintf "kpathctl: %s@." msg;
-      exit 124
-    in
     (* A population past one engine's event pool is a size error, not a
        crash: one line and exit 1. *)
     let sized f =
@@ -544,8 +547,8 @@ let prog_cmd =
        ~doc:"Verify and disassemble a filter program without running it: \
              static cost against its fuel budget, scratch footprint, the \
              basic-block structure the closure compiler found, per block \
-             the compilation tier that fired (named loop idiom, fused \
-             loop, superinstructions, or plain chained closures), and the \
+             the compilation tier that fired (named loop idiom and its \
+             body, block-chained loop, or plain chained closures), and the \
              range analysis's verdict at every faultable site — the \
              offset interval and whether it was proven in bounds — so a \
              slow program is diagnosable without reading the \
@@ -558,13 +561,17 @@ let prog_cmd =
 
 let sendfile_cmd =
   let loss_arg =
-    Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"P" ~doc:"Frame loss probability (0-0.9).")
+    Arg.(value & opt float 0.0
+         & info [ "loss" ] ~docv:"P"
+             ~doc:"Frame loss probability, at least 0 and below 1.")
   in
   let run size_mb loss =
+    if not (loss >= 0.0 && loss < 1.0) then
+      usage_error "--loss must be at least 0 and below 1";
     List.iter
       (fun (name, mode) ->
         let r =
-          Experiments.measure_sendfile ~mode ~file_bytes:(size_mb * mb) ~loss ()
+          Experiments.measure_sendfile ~mode ~file_bytes:(file_bytes size_mb) ~loss ()
         in
         Format.printf
           "%-9s: verified=%b %.0f KB/s server-cpu %.2fs retransmits %d@." name

@@ -40,8 +40,7 @@ type code = {
   k_entry : state -> unit;
   k_bounds : block_bounds array;
   (* One human-readable note per block: which compilation tier fired
-     (named idiom / fused loop / superinstructions / chained
-     closures). *)
+     (named idiom / block-chained loop / chained closures). *)
   k_tiers : string array;
 }
 
@@ -56,14 +55,14 @@ let cow st =
   st.c_copied <- true
 
 (* Cold fault exits for payload accesses, kept out of line so the hot
-   closures hold only the bounds compare. [fault_steps bump] charges
-   the steps run up to the raise (see [step] in {!compile}). *)
-let load_oob ~fault_steps bump pc st off =
-  fault_steps bump st;
+   closures hold only the bounds compare. [bump] is the steps run up
+   to the raise (see [step] in {!compile}). *)
+let load_oob bump pc st off =
+  st.c_steps <- st.c_steps + bump;
   Vm.fault "payload load at %d outside %d bytes (pc %d)" off st.c_len pc
 
-let store_oob ~fault_steps bump pc st off =
-  fault_steps bump st;
+let store_oob bump pc st off =
+  st.c_steps <- st.c_steps + bump;
   Vm.fault "payload store at %d outside %d bytes (pc %d)" off st.c_len pc
 
 (* Register-resident byte-scan fold, the target of the loop-idiom
@@ -211,13 +210,12 @@ let[@kpath.intr] compile ?(idioms = true) p =
     | Vm.End | Vm.Drop | Vm.Redirect _ | Vm.Ret -> mark (pc + 1)
     | _ -> ()
   done;
+  (* [blk_of_pc.(pc)] is the block containing [pc]. *)
   let blk_of_pc = Array.make (max n 1) (-1) in
   let nblocks = ref 0 in
   for pc = 0 to n - 1 do
-    if leader.(pc) then begin
-      blk_of_pc.(pc) <- !nblocks;
-      incr nblocks
-    end
+    if leader.(pc) then incr nblocks;
+    blk_of_pc.(pc) <- !nblocks - 1
   done;
   let bounds = Array.make (max !nblocks 1) { bb_first = 0; bb_last = 0 } in
   let bi = ref 0 in
@@ -246,12 +244,9 @@ let[@kpath.intr] compile ?(idioms = true) p =
      resolved here, at compile time: each shape gets its own closure
      with the register index or immediate baked in. Steps are batched
      at the block terminator, so only the faulting exits account their
-     partial progress via [fault_steps] ([j + 1] instructions ran, the
-     faulting one included — exactly the interpreter's counter at the
-     raise; inside a fused loop the batched pre-charge is unwound
-     first). *)
-  let step ~fault_steps pc j (next : state -> unit) :
-      state -> unit =
+     partial progress: [j + 1] instructions ran, the faulting one
+     included — exactly the interpreter's counter at the raise. *)
+  let step pc j (next : state -> unit) : state -> unit =
     let bump = j + 1 in
     match insns.(pc) with
     | Vm.Mov (r, Reg s) ->
@@ -298,7 +293,7 @@ let[@kpath.intr] compile ?(idioms = true) p =
         let regs = st.c_regs in
         let d = Array.unsafe_get regs s in
         if d = 0 then begin
-          fault_steps bump st;
+          st.c_steps <- st.c_steps + bump;
           Vm.fault "division by zero at pc %d" pc
         end;
         Array.unsafe_set regs r (Array.unsafe_get regs r / d);
@@ -314,7 +309,7 @@ let[@kpath.intr] compile ?(idioms = true) p =
         let regs = st.c_regs in
         let d = Array.unsafe_get regs s in
         if d = 0 then begin
-          fault_steps bump st;
+          st.c_steps <- st.c_steps + bump;
           Vm.fault "division by zero at pc %d" pc
         end;
         Array.unsafe_set regs r (Array.unsafe_get regs r mod d);
@@ -385,7 +380,7 @@ let[@kpath.intr] compile ?(idioms = true) p =
         Array.unsafe_set st.c_regs r st.c_lblk;
         next st
     | Vm.Ldp (r, o) ->
-      let oob = load_oob ~fault_steps bump pc in
+      let oob = load_oob bump pc in
       (match o with
        | Reg s ->
          fun st ->
@@ -401,7 +396,7 @@ let[@kpath.intr] compile ?(idioms = true) p =
              (Char.code (Bytes.unsafe_get st.c_cur v));
            next st)
     | Vm.Stp (o_off, o_v) ->
-      let oob = store_oob ~fault_steps bump pc in
+      let oob = store_oob bump pc in
       (match (o_off, o_v) with
        | Reg a, Reg b ->
          fun st ->
@@ -490,290 +485,197 @@ let[@kpath.intr] compile ?(idioms = true) p =
     | Vm.End | Vm.Drop | Vm.Redirect _ | Vm.Ret ->
       assert false (* terminators are compiled by [term] *)
   in
-  let plain_fault_steps bump st = st.c_steps <- st.c_steps + bump in
-  (* Curated superinstructions: adjacent pairs that dominate fold and
-     mask loop bodies (byte load + fold, mix + mask, mask + counter
-     bump, store + counter bump) compile to one closure holding the
-     literal concatenation of the two instruction bodies. Loads and
-     stores keep their exact order, so the composition is correct for
-     any register aliasing — the only thing removed is the indirect
-     call between the two. Pairs that can fault put the payload
-     instruction first, so the fault charge is [j + 1] as usual. *)
-  let step2 ~fault_steps pc j (next : state -> unit) :
-      (state -> unit) option =
-    let bump = j + 1 in
-    match (insns.(pc), insns.(pc + 1)) with
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2) ->
-      let oob = load_oob ~fault_steps bump pc in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v) ->
-      let oob = load_oob ~fault_steps bump pc in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v);
-          next st)
-    | Vm.Xor (r, Reg s), Vm.Mul (r2, Imm v) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r
-            (Array.unsafe_get regs r lxor Array.unsafe_get regs s);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 * v);
-          next st)
-    | Vm.Mul (r, Imm v), Vm.And (r2, Imm m) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r * v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 land m);
-          next st)
-    | Vm.And (r, Imm m), Vm.Add (r2, Imm v) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r land m);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v);
-          next st)
-    | Vm.Add (r, Imm v), Vm.Add (r2, Imm v2) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v2);
-          next st)
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) ->
-      let oob = store_oob ~fault_steps bump pc in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs a in
-          if off < 0 || off >= st.c_len then oob st off;
-          if not st.c_copied then cow st;
-          Bytes.unsafe_set st.c_cur off
-            (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-          Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-          next st)
-    | _ -> None
-  in
-  (* One curated triple on top of the pairs: byte load + fold + mix is
-     the opening of every multiplicative hash loop (FNV, tee-hash). *)
-  let step3 ~fault_steps pc j (next : state -> unit) : (state -> unit) option
-      =
-    let bump = j + 1 in
-    match (insns.(pc), insns.(pc + 1), insns.(pc + 2)) with
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Reg s2), Vm.Mul (r3, Imm v) ->
-      let oob = load_oob ~fault_steps bump pc in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2
-            (Array.unsafe_get regs r2 lxor Array.unsafe_get regs s2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
-    | Vm.Ldp (r, Reg s), Vm.Xor (r2, Imm v2), Vm.Mul (r3, Imm v) ->
-      let oob = load_oob ~fault_steps bump pc in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs s in
-          if off < 0 || off >= st.c_len then oob st off;
-          Array.unsafe_set regs r (Char.code (Bytes.unsafe_get st.c_cur off));
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 lxor v2);
-          Array.unsafe_set regs r3 (Array.unsafe_get regs r3 * v);
-          next st)
-    | _ -> None
-  in
-  (* Fused-tail pairs: the last two instructions of a fused loop body,
-     one closure, no continuation call at all. *)
-  let tail_step2 ~fault_steps pc j : (state -> unit) option =
-    let bump = j + 1 in
-    match (insns.(pc), insns.(pc + 1)) with
-    | Vm.And (r, Imm m), Vm.Add (r2, Imm v) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r land m);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v))
-    | Vm.Mul (r, Imm v), Vm.And (r2, Imm m) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r * v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 land m))
-    | Vm.Add (r, Imm v), Vm.Add (r2, Imm v2) ->
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          Array.unsafe_set regs r (Array.unsafe_get regs r + v);
-          Array.unsafe_set regs r2 (Array.unsafe_get regs r2 + v2))
-    | Vm.Stp (Reg a, Reg b), Vm.Add (r, Imm v) ->
-      let oob = store_oob ~fault_steps bump pc in
-      Some
-        (fun st ->
-          let regs = st.c_regs in
-          let off = Array.unsafe_get regs a in
-          if off < 0 || off >= st.c_len then oob st off;
-          if not st.c_copied then cow st;
-          Bytes.unsafe_set st.c_cur off
-            (Char.unsafe_chr (Array.unsafe_get regs b land 0xff));
-          Array.unsafe_set regs r (Array.unsafe_get regs r + v))
-    | _ -> None
-  in
-  (* The last instruction of a fused loop body: same arms as [step] for
-     the common fault-free shapes, but with no continuation — the
-     fused-loop driver owns control, so the chain should just return
-     instead of paying an indirect call into [halt] every iteration.
-     Rarer shapes fall back to the chained form. *)
-  let tail_step ~fault_steps pc j : state -> unit =
-    match insns.(pc) with
-    | Vm.Mov (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs s)
-    | Vm.Mov (r, Imm v) -> fun st -> Array.unsafe_set st.c_regs r v
-    | Vm.Add (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r + Array.unsafe_get regs s)
-    | Vm.Add (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r + v)
-    | Vm.Sub (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r - Array.unsafe_get regs s)
-    | Vm.Sub (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r - v)
-    | Vm.Mul (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r * Array.unsafe_get regs s)
-    | Vm.Mul (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r * v)
-    | Vm.And (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r land Array.unsafe_get regs s)
-    | Vm.And (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r land v)
-    | Vm.Or (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r lor Array.unsafe_get regs s)
-    | Vm.Or (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lor v)
-    | Vm.Xor (r, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get regs r lxor Array.unsafe_get regs s)
-    | Vm.Xor (r, Imm v) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lxor v)
-    | Vm.Shl (r, Imm v) ->
-      let sh = v land 63 in
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lsl sh)
-    | Vm.Shr (r, Imm v) ->
-      let sh = v land 63 in
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r (Array.unsafe_get regs r lsr sh)
-    | Vm.Len r -> fun st -> Array.unsafe_set st.c_regs r st.c_len
-    | Vm.Blkno r -> fun st -> Array.unsafe_set st.c_regs r st.c_lblk
-    | Vm.Lds (r, off) ->
-      fun st ->
-        Array.unsafe_set st.c_regs r (Array.unsafe_get st.c_scratch off)
-    | Vm.Sts (off, Reg s) ->
-      fun st ->
-        Array.unsafe_set st.c_scratch off (Array.unsafe_get st.c_regs s)
-    | Vm.Sts (off, Imm v) ->
-      fun st -> Array.unsafe_set st.c_scratch off v
-    | Vm.Ldsx (r, ri) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set regs r
-          (Array.unsafe_get st.c_scratch (Array.unsafe_get regs ri land smask))
-    | Vm.Stsx (ri, Reg s) ->
-      fun st ->
-        let regs = st.c_regs in
-        Array.unsafe_set st.c_scratch
-          (Array.unsafe_get regs ri land smask)
-          (Array.unsafe_get regs s)
-    | Vm.Stsx (ri, Imm v) ->
-      fun st ->
-        Array.unsafe_set st.c_scratch
-          (Array.unsafe_get st.c_regs ri land smask)
-          v
-    | _ -> step ~fault_steps pc j halt
-  in
-  (* A loop whose whole body (through its End) is a single basic block
-     runs a known number of instructions per iteration, so the Loop
-     terminator fuses it into a counted for-loop: the step charge for
-     all iterations is batched up front, the loop book only tracks the
-     remaining count for fault unwinding, and no block dispatch happens
-     per iteration. [body_nb] counts the body instructions plus the
-     End. A fault [j] instructions into iteration with [i] remaining
-     must read as if only the completed iterations were charged:
-     subtract [i * body_nb], add [j + 1]. *)
-  let fused_body lp end_pc =
-    let d = depth_of.(lp) in
+  (* Loop-idiom recognition, the pattern library. Every idiom is a body
+     that touches payload offsets [i .. i+c-1] through a monotonically
+     advancing counter, so one entry test ([i0 >= 0 && c <= len - i0])
+     proves the whole loop fault-free and the scan runs with all state
+     in host registers; final register effects are reproduced exactly
+     as the interpreter leaves them. Returns the idiom's name and its
+     runner for the loop at [lp], taken [c > 0] times: it runs the scan
+     and continues at [exit_], or, when the entry test cannot prove the
+     loop, hands over to [chained] — the block-chained body, which
+     faults bit-identically to the interpreter. [body_nb] counts the
+     body instructions plus the End, the steps one iteration charges.
+
+     - byte-scan fold: load, xor-fold, mix, mask, bump — the
+       multiplicative hash ([hash_fold]).
+     - histogram: load, indexed scratch load, increment, indexed
+       scratch store, bump — scratch-table histograms ([hist_scan]);
+       the verifier's power-of-two arena proof is what lets the host
+       loop index the table unchecked.
+     - scatter/store: load, ALU-transform, store back, bump —
+       xor-stream masks and byte remaps, writing the copy-on-write
+       clone directly ([scat_*]). The clone is forced once at loop
+       entry: the entry test already proved the first iteration's
+       store in bounds.
+     - rolling-hash window, the shape behind content-defined chunking:
+       fold each byte into a window hash, bump the position, test the
+       hash's low bits and emit at chunk boundaries ([roll_scan]). The
+       conditional Emit splits the body into three blocks, but the
+       whole region is recognizable at the Loop. *)
+  let idiom lp end_pc exit_ chained :
+      (string * (state -> int -> unit)) option =
     let body_nb = end_pc - lp in
-    let fault_steps bump st =
-      st.c_steps <-
-        st.c_steps + bump - (Array.unsafe_get st.c_lleft d * body_nb)
-    in
-    let rec build pc =
-      let j = pc - (lp + 1) in
-      if pc > end_pc - 1 then halt
-      else if pc = end_pc - 1 then tail_step ~fault_steps pc j
-      else if pc = end_pc - 2 then
-        match tail_step2 ~fault_steps pc j with
-        | Some f -> f
-        | None -> (
-          match step2 ~fault_steps pc j (build (pc + 2)) with
-          | Some f -> f
-          | None -> step ~fault_steps pc j (build (pc + 1)))
-      else
-        match step3 ~fault_steps pc j (build (pc + 3)) with
-        | Some f -> f
-        | None -> (
-          match step2 ~fault_steps pc j (build (pc + 2)) with
-          | Some f -> f
-          | None -> step ~fault_steps pc j (build (pc + 1)))
-    in
-    (d, body_nb, build (lp + 1))
+    if not idioms then None
+    else if body_nb = 6 then
+      match
+        ( insns.(lp + 1),
+          insns.(lp + 2),
+          insns.(lp + 3),
+          insns.(lp + 4),
+          insns.(lp + 5) )
+      with
+      | ( Vm.Ldp (r, Reg s),
+          Vm.Xor (h, Reg s2),
+          Vm.Mul (h2, Imm v),
+          Vm.And (h3, Imm m),
+          Vm.Add (i, Imm 1) )
+        when s2 = r && h2 = h && h3 = h && i = s && r <> h && r <> s
+             && h <> s ->
+        Some
+          ( "byte-scan fold",
+            fun st c ->
+              let regs = st.c_regs in
+              let i0 = Array.unsafe_get regs s in
+              if i0 >= 0 && c <= st.c_len - i0 then begin
+                st.c_steps <- st.c_steps + (c * body_nb);
+                let last = i0 + c - 1 in
+                Array.unsafe_set regs h
+                  (hash_fold st.c_cur last i0 (Array.unsafe_get regs h) v m);
+                Array.unsafe_set regs r
+                  (Char.code (Bytes.unsafe_get st.c_cur last));
+                Array.unsafe_set regs s (i0 + c);
+                exit_ st
+              end
+              else chained st c )
+      | ( Vm.Ldp (b, Reg i),
+          Vm.Ldsx (h, b2),
+          Vm.Add (h2, Imm 1),
+          Vm.Stsx (b3, Reg h3),
+          Vm.Add (i2, Imm 1) )
+        when b2 = b && h2 = h && b3 = b && h3 = h && i2 = i && b <> i
+             && h <> i && h <> b ->
+        Some
+          ( "histogram",
+            fun st c ->
+              let regs = st.c_regs in
+              let i0 = Array.unsafe_get regs i in
+              if i0 >= 0 && c <= st.c_len - i0 then begin
+                st.c_steps <- st.c_steps + (c * body_nb);
+                let cur = st.c_cur in
+                let hi = i0 + c - 1 in
+                hist_scan cur st.c_scratch smask hi i0;
+                let lastb = Char.code (Bytes.unsafe_get cur hi) in
+                Array.unsafe_set regs b lastb;
+                Array.unsafe_set regs h
+                  (Array.unsafe_get st.c_scratch (lastb land smask));
+                Array.unsafe_set regs i (i0 + c);
+                exit_ st
+              end
+              else chained st c )
+      | _ -> None
+    else if body_nb = 5 then begin
+      let op =
+        match insns.(lp + 2) with
+        | Vm.Xor (r2, o) -> Some (scat_xor, "xor", r2, o)
+        | Vm.Add (r2, o) -> Some (scat_add, "add", r2, o)
+        | Vm.Sub (r2, o) -> Some (scat_sub, "sub", r2, o)
+        | Vm.And (r2, o) -> Some (scat_and, "and", r2, o)
+        | Vm.Or (r2, o) -> Some (scat_or, "or", r2, o)
+        | _ -> None
+      in
+      match (insns.(lp + 1), insns.(lp + 3), insns.(lp + 4), op) with
+      | ( Vm.Ldp (r, Reg i),
+          Vm.Stp (Reg i2, Reg r3),
+          Vm.Add (i3, Imm 1),
+          Some (scan, opname, r2, o) )
+        when r2 = r && i2 = i && r3 = r && i3 = i && r <> i
+             && (match o with Reg s -> s <> r && s <> i | Imm _ -> true) ->
+        (* The mask operand is loop-invariant: the body writes only [r]
+           and [i], and a register operand was required distinct from
+           both. *)
+        let get_m =
+          match o with
+          | Imm v -> fun (_ : state) -> v
+          | Reg s -> fun st -> Array.unsafe_get st.c_regs s
+        in
+        Some
+          ( "scatter/store (" ^ opname ^ ")",
+            fun st c ->
+              let regs = st.c_regs in
+              let i0 = Array.unsafe_get regs i in
+              if i0 >= 0 && c <= st.c_len - i0 then begin
+                st.c_steps <- st.c_steps + (c * body_nb);
+                if not st.c_copied then cow st;
+                let v = scan st.c_cur (i0 + c - 1) i0 (get_m st) 0 in
+                Array.unsafe_set regs r v;
+                Array.unsafe_set regs i (i0 + c);
+                exit_ st
+              end
+              else chained st c )
+      | _ -> None
+    end
+    else if body_nb = 10 then
+      match
+        ( insns.(lp + 1),
+          insns.(lp + 2),
+          insns.(lp + 3),
+          insns.(lp + 4),
+          insns.(lp + 5),
+          insns.(lp + 6),
+          insns.(lp + 7),
+          insns.(lp + 8),
+          insns.(lp + 9) )
+      with
+      | ( Vm.Ldp (b, Reg i),
+          Vm.Mul (h, Imm a),
+          Vm.Add (h2, Reg b2),
+          Vm.And (h3, Imm m),
+          Vm.Add (i2, Imm 1),
+          Vm.Mov (t, Reg h4),
+          Vm.And (t2, Imm m2),
+          Vm.Jne (t3, Imm tv, 2),
+          Vm.Emit (Imm kimm, ov) )
+        when h2 = h && b2 = b && h3 = h && i2 = i && h4 = h && t2 = t
+             && t3 = t && b <> i && b <> h && b <> t && h <> i && h <> t
+             && t <> i -> (
+        let vsel, vimm =
+          match ov with
+          | Reg rv when rv = h -> (0, 0)
+          | Reg rv when rv = i -> (1, 0)
+          | Reg rv when rv = b -> (2, 0)
+          | Reg rv when rv = t -> (3, 0)
+          | Imm v -> (4, v)
+          | Reg _ -> (-1, 0)
+        in
+        match vsel with
+        | -1 -> None
+        | _ ->
+          Some
+            ( "rolling-hash",
+              fun st c ->
+                let regs = st.c_regs in
+                let i0 = Array.unsafe_get regs i in
+                if i0 >= 0 && c <= st.c_len - i0 then begin
+                  (* 9 of the 10 body instructions run every iteration
+                     (the Emit is skipped off-boundary); [roll_scan]
+                     charges each boundary's Emit as it fires. *)
+                  st.c_steps <- st.c_steps + (c * 9);
+                  let hi = i0 + c - 1 in
+                  let h' =
+                    roll_scan st st.c_cur hi i0 (Array.unsafe_get regs h) a m
+                      m2 tv kimm vsel vimm
+                  in
+                  Array.unsafe_set regs b
+                    (Char.code (Bytes.unsafe_get st.c_cur hi));
+                  Array.unsafe_set regs h h';
+                  Array.unsafe_set regs t (h' land m2);
+                  Array.unsafe_set regs i (i0 + c);
+                  exit_ st
+                end
+                else chained st c ))
+      | _ -> None
+    else None
   in
   (* The terminator of the block [first..last]: batch the whole block's
      step count ([nb] instructions all executed by the time control
@@ -840,317 +742,50 @@ let[@kpath.intr] compile ?(idioms = true) p =
            st.c_steps <- st.c_steps + nb;
            if Array.unsafe_get st.c_regs r >= v then tt st else tf st)
     | Vm.Loop (o, cap) ->
-      let lp = last in
-      let end_pc = end_of.(lp) in
+      let end_pc = end_of.(last) in
+      let d = depth_of.(last) in
       let exit_ = target (end_pc + 1) in
-      let body_blk = blk_of_pc.(lp + 1) in
-      let fusable =
-        bounds.(body_blk).bb_first = lp + 1
-        && bounds.(body_blk).bb_last = end_pc
+      let body = target (last + 1) in
+      (* Arm the loop book and enter the body; its End terminator loops
+         back until the count runs out. *)
+      let chained st c =
+        Array.unsafe_set st.c_lleft d c;
+        body st
       in
-      if fusable then begin
-        let d, body_nb, body = fused_body lp end_pc in
-        (* Generic fused iteration. *)
-        let iterate st c =
-          st.c_steps <- st.c_steps + (c * body_nb);
-          let ll = st.c_lleft in
-          for i = c downto 1 do
-            Array.unsafe_set ll d i;
-            body st
-          done
-        in
-        (* Loop-idiom recognition, the pattern library. Every idiom is
-           a body that touches payload offsets [i .. i+c-1] through a
-           monotonically advancing counter, so one entry test ([i0 >= 0
-           && c <= len - i0]) proves the whole loop fault-free and the
-           scan runs with all state in host registers; final register
-           effects are reproduced exactly as the interpreter leaves
-           them. Anything the entry test cannot prove (or any shape not
-           matched) takes the generic fused path, which faults
-           bit-identically to the interpreter.
-
-           - byte-scan fold: load, xor-fold, mix, mask, bump — the
-             multiplicative hash ([hash_fold]).
-           - scatter/store: load, ALU-transform, store back, bump —
-             xor-stream masks and byte remaps, writing the
-             copy-on-write clone directly ([scat_*]). The clone is
-             forced once at loop entry: the entry test already proved
-             the first iteration's store in bounds.
-           - histogram: load, indexed scratch load, increment, indexed
-             scratch store, bump — scratch-table histograms
-             ([hist_scan]); the verifier's power-of-two arena proof is
-             what lets the host loop index the table unchecked. *)
-        let idiom =
-          if not idioms then None
-          else if end_pc = lp + 6 then
-            match
-              ( insns.(lp + 1),
-                insns.(lp + 2),
-                insns.(lp + 3),
-                insns.(lp + 4),
-                insns.(lp + 5) )
-            with
-            | ( Vm.Ldp (r, Reg s),
-                Vm.Xor (h, Reg s2),
-                Vm.Mul (h2, Imm v),
-                Vm.And (h3, Imm m),
-                Vm.Add (i, Imm 1) )
-              when s2 = r && h2 = h && h3 = h && i = s && r <> h && r <> s
-                   && h <> s ->
-              Some
-                ( "byte-scan fold",
-                  fun st c ->
-                    let regs = st.c_regs in
-                    let i0 = Array.unsafe_get regs s in
-                    if i0 >= 0 && c <= st.c_len - i0 then begin
-                      st.c_steps <- st.c_steps + (c * body_nb);
-                      let last = i0 + c - 1 in
-                      Array.unsafe_set regs h
-                        (hash_fold st.c_cur last i0 (Array.unsafe_get regs h)
-                           v m);
-                      Array.unsafe_set regs r
-                        (Char.code (Bytes.unsafe_get st.c_cur last));
-                      Array.unsafe_set regs s (i0 + c)
-                    end
-                    else iterate st c )
-            | ( Vm.Ldp (b, Reg i),
-                Vm.Ldsx (h, b2),
-                Vm.Add (h2, Imm 1),
-                Vm.Stsx (b3, Reg h3),
-                Vm.Add (i2, Imm 1) )
-              when b2 = b && h2 = h && b3 = b && h3 = h && i2 = i && b <> i
-                   && h <> i && h <> b ->
-              Some
-                ( "histogram",
-                  fun st c ->
-                    let regs = st.c_regs in
-                    let i0 = Array.unsafe_get regs i in
-                    if i0 >= 0 && c <= st.c_len - i0 then begin
-                      st.c_steps <- st.c_steps + (c * body_nb);
-                      let cur = st.c_cur in
-                      let hi = i0 + c - 1 in
-                      hist_scan cur st.c_scratch smask hi i0;
-                      let lastb = Char.code (Bytes.unsafe_get cur hi) in
-                      Array.unsafe_set regs b lastb;
-                      Array.unsafe_set regs h
-                        (Array.unsafe_get st.c_scratch (lastb land smask));
-                      Array.unsafe_set regs i (i0 + c)
-                    end
-                    else iterate st c )
-            | _ -> None
-          else if end_pc = lp + 5 then begin
-            let op =
-              match insns.(lp + 2) with
-              | Vm.Xor (r2, o) -> Some (scat_xor, "xor", r2, o)
-              | Vm.Add (r2, o) -> Some (scat_add, "add", r2, o)
-              | Vm.Sub (r2, o) -> Some (scat_sub, "sub", r2, o)
-              | Vm.And (r2, o) -> Some (scat_and, "and", r2, o)
-              | Vm.Or (r2, o) -> Some (scat_or, "or", r2, o)
-              | _ -> None
-            in
-            match (insns.(lp + 1), insns.(lp + 3), insns.(lp + 4), op) with
-            | ( Vm.Ldp (r, Reg i),
-                Vm.Stp (Reg i2, Reg r3),
-                Vm.Add (i3, Imm 1),
-                Some (scan, opname, r2, o) )
-              when r2 = r && i2 = i && r3 = r && i3 = i && r <> i
-                   && (match o with
-                       | Reg s -> s <> r && s <> i
-                       | Imm _ -> true) ->
-              (* The mask operand is loop-invariant: the body writes
-                 only [r] and [i], and a register operand was required
-                 distinct from both. *)
-              let get_m =
-                match o with
-                | Imm v -> fun (_ : state) -> v
-                | Reg s -> fun st -> Array.unsafe_get st.c_regs s
-              in
-              Some
-                ( "scatter/store (" ^ opname ^ ")",
-                  fun st c ->
-                    let regs = st.c_regs in
-                    let i0 = Array.unsafe_get regs i in
-                    if i0 >= 0 && c <= st.c_len - i0 then begin
-                      st.c_steps <- st.c_steps + (c * body_nb);
-                      if not st.c_copied then cow st;
-                      let v = scan st.c_cur (i0 + c - 1) i0 (get_m st) 0 in
-                      Array.unsafe_set regs r v;
-                      Array.unsafe_set regs i (i0 + c)
-                    end
-                    else iterate st c )
-            | _ -> None
-          end
-          else None
-        in
-        (tiers.(bidx) <-
-           (match idiom with
-            | Some (name, _) -> Printf.sprintf "fused loop: %s idiom" name
-            | None ->
-              Printf.sprintf "fused loop: generic %d-insn body" (body_nb - 1)));
-        tiers.(body_blk) <-
-          (match idiom with
-           | Some (name, _) -> Printf.sprintf "body of b%d (%s idiom)" bidx name
-           | None -> Printf.sprintf "body of b%d (inlined in the fused loop)" bidx);
-        let run_body =
-          match idiom with Some (_, run) -> run | None -> iterate
-        in
-        match o with
-        | Reg s ->
-          fun st ->
-            st.c_steps <- st.c_steps + nb;
-            let c = Array.unsafe_get st.c_regs s in
-            let c = if c < 0 then 0 else if c > cap then cap else c in
-            if c = 0 then exit_ st
-            else begin
-              run_body st c;
-              exit_ st
-            end
-        | Imm v ->
-          let c = min (max v 0) cap in
-          if c = 0 then
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              exit_ st
-          else
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              run_body st c;
-              exit_ st
-      end
-      else begin
-        let d = depth_of.(lp) in
-        let body = target (lp + 1) in
-        (* Rolling-hash window idiom, the shape behind content-defined
-           chunking: fold each byte into a window hash, bump the
-           position, test the hash's low bits and emit at chunk
-           boundaries. The conditional Emit splits the body into three
-           blocks, so it can never fuse — but the whole region is
-           recognizable at the Loop, and [roll_scan] runs it with the
-           window state in host registers. The entry test proves every
-           load in bounds; a count the test cannot cover falls back to
-           the block-chained body, which faults bit-identically. *)
-        let rolling =
-          if not idioms || end_pc <> lp + 10 then None
-          else
-            match
-              ( insns.(lp + 1),
-                insns.(lp + 2),
-                insns.(lp + 3),
-                insns.(lp + 4),
-                insns.(lp + 5),
-                insns.(lp + 6),
-                insns.(lp + 7),
-                insns.(lp + 8),
-                insns.(lp + 9) )
-            with
-            | ( Vm.Ldp (b, Reg i),
-                Vm.Mul (h, Imm a),
-                Vm.Add (h2, Reg b2),
-                Vm.And (h3, Imm m),
-                Vm.Add (i2, Imm 1),
-                Vm.Mov (t, Reg h4),
-                Vm.And (t2, Imm m2),
-                Vm.Jne (t3, Imm tv, 2),
-                Vm.Emit (Imm kimm, ov) )
-              when h2 = h && b2 = b && h3 = h && i2 = i && h4 = h && t2 = t
-                   && t3 = t && b <> i && b <> h && b <> t && h <> i
-                   && h <> t && t <> i -> (
-              let vsel, vimm =
-                match ov with
-                | Reg rv when rv = h -> (0, 0)
-                | Reg rv when rv = i -> (1, 0)
-                | Reg rv when rv = b -> (2, 0)
-                | Reg rv when rv = t -> (3, 0)
-                | Imm v -> (4, v)
-                | Reg _ -> (-1, 0)
-              in
-              match vsel with
-              | -1 -> None
-              | _ ->
-                Some
-                  (fun st c ->
-                    let regs = st.c_regs in
-                    let i0 = Array.unsafe_get regs i in
-                    if i0 >= 0 && c <= st.c_len - i0 then begin
-                      (* 9 of the 10 body instructions run every
-                         iteration (the Emit is skipped off-boundary);
-                         [roll_scan] charges each boundary's Emit as it
-                         fires. *)
-                      st.c_steps <- st.c_steps + (c * 9);
-                      let hi = i0 + c - 1 in
-                      let h' =
-                        roll_scan st st.c_cur hi i0
-                          (Array.unsafe_get regs h)
-                          a m m2 tv kimm vsel vimm
-                      in
-                      Array.unsafe_set regs b
-                        (Char.code (Bytes.unsafe_get st.c_cur hi));
-                      Array.unsafe_set regs h h';
-                      Array.unsafe_set regs t (h' land m2);
-                      Array.unsafe_set regs i (i0 + c);
-                      exit_ st
-                    end
-                    else begin
-                      Array.unsafe_set st.c_lleft d c;
-                      body st
-                    end))
-            | _ -> None
-        in
-        (match rolling with
-         | Some _ ->
-           tiers.(bidx) <- "loop: rolling-hash idiom (multi-block body)";
-           for bb = blk_of_pc.(lp + 1) to blk_of_pc.(end_pc) do
-             tiers.(bb) <-
-               Printf.sprintf "body of b%d (rolling-hash scan; chain is the fallback)"
-                 bidx
-           done
-         | None -> tiers.(bidx) <- "loop: block-chained multi-block body");
-        match rolling with
-        | Some run -> (
-          match o with
-          | Reg s ->
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              let c = Array.unsafe_get st.c_regs s in
-              let c = if c < 0 then 0 else if c > cap then cap else c in
-              if c = 0 then exit_ st else run st c
-          | Imm v ->
-            let c = min (max v 0) cap in
-            if c = 0 then
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                exit_ st
-            else
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                run st c)
-        | None -> (
-          match o with
-          | Reg s ->
-            fun st ->
-              st.c_steps <- st.c_steps + nb;
-              let c = Array.unsafe_get st.c_regs s in
-              let c = if c < 0 then 0 else if c > cap then cap else c in
-              if c = 0 then exit_ st
-              else begin
-                Array.unsafe_set st.c_lleft d c;
-                body st
-              end
-          | Imm v ->
-            let c = min (max v 0) cap in
-            if c = 0 then
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                exit_ st
-            else
-              fun st ->
-                st.c_steps <- st.c_steps + nb;
-                Array.unsafe_set st.c_lleft d c;
-                body st)
-      end
+      let run =
+        match idiom last end_pc exit_ chained with
+        | None ->
+          tiers.(bidx) <- "loop: block-chained body";
+          chained
+        | Some (name, run) ->
+          tiers.(bidx) <- Printf.sprintf "loop: %s idiom" name;
+          for pc = last + 1 to end_pc do
+            tiers.(blk_of_pc.(pc)) <-
+              Printf.sprintf "body of b%d (%s idiom; chain is the fallback)"
+                bidx name
+          done;
+          run
+      in
+      (match o with
+       | Reg s ->
+         fun st ->
+           st.c_steps <- st.c_steps + nb;
+           let c = Array.unsafe_get st.c_regs s in
+           let c = if c < 0 then 0 else if c > cap then cap else c in
+           if c = 0 then exit_ st else run st c
+       | Imm v ->
+         let c = min (max v 0) cap in
+         if c = 0 then
+           fun st ->
+             st.c_steps <- st.c_steps + nb;
+             exit_ st
+         else
+           fun st ->
+             st.c_steps <- st.c_steps + nb;
+             run st c)
     | Vm.End ->
-      (* Only reached when its loop was not fused (multi-block body).
-         The body block sits above this one, so the back-edge goes
+      (* The loop's back-edge. The body's entry block is this one or
+         sits above it, so it is not compiled yet and the back-edge goes
          through [funs] at runtime; it carries the one defensive fuel
          check — the verifier proved worst-case cost <= fuel, so
          compiled code cannot trip it. *)
@@ -1192,29 +827,11 @@ let[@kpath.intr] compile ?(idioms = true) p =
   let compile_block bidx first last : state -> unit =
     let straight_hi = if is_terminator insns.(last) then last - 1 else last in
     let tail = term bidx first last in
-    let supers = ref 0 in
     let rec build pc =
-      if pc > straight_hi then tail
-      else if pc < straight_hi then
-        match
-          step2 ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 2))
-        with
-        | Some f ->
-          incr supers;
-          f
-        | None ->
-          step ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 1))
-      else
-        step ~fault_steps:plain_fault_steps pc (pc - first) (build (pc + 1))
+      if pc > straight_hi then tail else step pc (pc - first) (build (pc + 1))
     in
-    let f = build first in
-    if tiers.(bidx) = "" then
-      tiers.(bidx) <-
-        (if !supers > 0 then
-           Printf.sprintf "chained closures, %d superinstruction%s" !supers
-             (if !supers = 1 then "" else "s")
-         else "chained closures");
-    f
+    if tiers.(bidx) = "" then tiers.(bidx) <- "chained closures";
+    build first
   in
   for b = !nblocks - 1 downto 0 do
     funs.(b) <- compile_block b bounds.(b).bb_first bounds.(b).bb_last

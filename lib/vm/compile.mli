@@ -14,15 +14,11 @@
     blocks tail-call their successors (the verifier admits only
     forward jumps, so the one back-edge is [End] returning to its loop
     body), so compiled code needs no dispatch loop and no host stack
-    depth proportional to the program. A loop whose whole body is a
-    single basic block is fused further into a counted host loop with
-    its step charge batched across iterations — the interpreter's
-    per-iteration bookkeeping survives only in the loop book an
-    in-body fault uses to unwind the batched charge. On top of that
-    sits the loop-idiom pass, a small pattern library over bodies that
-    walk the payload through a monotonically advancing counter — a
-    single entry test then proves the whole loop fault-free and the
-    scan runs with all state in host registers:
+    depth proportional to the program. Every [Loop] first tries the
+    loop-idiom pass, a small pattern library over bodies that walk the
+    payload through a monotonically advancing counter — a single entry
+    test then proves the whole loop fault-free and the scan runs with
+    all state in host registers:
 
     - {e byte-scan fold}: load byte at the counter, fold, mix, mask,
       bump — the FNV/tee-hash shape;
@@ -36,13 +32,14 @@
       lets the host loop index the table unchecked;
     - {e rolling-hash window}: fold each byte into a window hash and
       emit at chunk boundaries — the content-defined-chunking shape;
-      its conditional [Emit] splits the body into three blocks so it
-      can never fuse, but the whole region is recognized at the [Loop]
-      and runs as one scan, charging the skipped-[Emit] step
-      difference per boundary.
+      its conditional [Emit] splits the body into three blocks, but
+      the whole region is recognized at the [Loop] and runs as one
+      scan, charging the skipped-[Emit] step difference per boundary.
 
-    Anything an entry test cannot prove (or any shape not matched)
-    falls back to the generic path and faults bit-identically.
+    Any other loop, and any count an idiom's entry test cannot prove,
+    runs the block-chained body: the [Loop] sets the loop book and
+    enters the body block, whose [End] loops back until the count runs
+    out. That chain faults bit-identically.
     Register, scratch and loop-book indices were range-checked by the
     verifier and compile to unchecked accesses. Payload offsets and
     register divisors are runtime values: outside the idiom kernels,
@@ -83,9 +80,10 @@ val compile : ?idioms:bool -> Vm.prog -> code
     program; running it allocates nothing beyond what the interpreter
     allocates (the copy-on-write clone on the first [Stp] and the
     {!Vm.run} record). [?idioms] (default [true]) enables the
-    loop-idiom pass; [~idioms:false] keeps only the generic fused
-    path — the benches use it to measure what each idiom buys, and the
-    parity suite uses it as a third differential backend. *)
+    loop-idiom pass; [~idioms:false] runs every loop block-chained —
+    the path each idiom falls back to. The benches use it to measure
+    what each idiom buys, and the parity suite uses it as a third
+    differential backend. *)
 
 val prog : code -> Vm.prog
 (** The verified program this code was compiled from. *)
@@ -99,10 +97,11 @@ val blocks : code -> block_bounds array
 
 val block_tiers : code -> string array
 (** One note per basic block (parallel to {!blocks}) naming the
-    compilation tier that fired: a named loop idiom, a fused or
-    block-chained loop, superinstruction counts, or plain chained
-    closures. [kpathctl prog] prints these so a slow program is
-    diagnosable without reading the compiler. *)
+    compilation tier that fired: a [Loop] block names its idiom or says
+    it is block-chained, each block of an idiom's body says
+    ["body of bN"] after its [Loop] block, and every other block is
+    plain chained closures. [kpathctl prog] prints these so a slow
+    program is diagnosable without reading the compiler. *)
 
 type state
 (** Mutable per-attachment state: scratch arena (persists across

@@ -197,10 +197,9 @@ let bounded_copy_src =
   {|; Mirror the 32-byte header into the next 32 bytes (copy-on-write),
 ; skipping blocks shorter than 64 bytes. The leading jge guard is what
 ; lets the range analysis prove every ldp/stp of the loop in bounds
-; (r0 in [0,31], r3 in [32,63], len >= 64 on the copy path), so the
-; compiled loop runs with no payload checks at all -- the
-; guard-then-raw-copy shape the structural verifier used to force into
-; per-access checks.
+; (r0 in [0,31], r3 in [32,63], len >= 64 on the copy path): its
+; verdict table is all proven, though every access still tests its
+; offset at run time.
 fuel 400
     len r1
     jge r1, 64, copy

@@ -20,7 +20,7 @@ let pp_verdict fmt = function
 let verdict = Alcotest.testable pp_verdict ( = )
 
 (* Run [p] under the interpreter and two compiled variants — the full
-   compiler and the idiom-free one (generic fused paths only) — over
+   compiler and the idiom-free one (block-chained loops only) — over
    the same block sequence (one persistent state each, so scratch
    carry-over is compared too) and assert every observable of every
    run matches the interpreter's. The no-idiom variant is what every
@@ -260,7 +260,7 @@ let test_scatter_idiom () =
      clone directly. Exercise every transform op, immediate and
      register-held keys, mid-payload starts, overruns that fault
      mid-loop after partial writes, and near-miss shapes that must stay
-     on the generic per-store-checked path — including a store that
+     on the block-chained per-store-checked path — including a store that
      bounds-faults before the clone would happen, so the CoW hoist may
      not clone early. *)
   let scatter ?(pre = []) ~start ~loop ~body () =
@@ -396,8 +396,8 @@ let test_histogram_idiom () =
 
 let test_rolling_idiom () =
   (* The rolling-hash idiom recognizes the content-defined-chunking
-     region at its Loop — the conditional Emit keeps the body from ever
-     fusing — and runs it with the window state in host registers.
+     region at its Loop — the conditional Emit splits the body into
+     three blocks — and runs it with the window state in host registers.
      Cover every emit-value selector, dense and absent boundaries,
      payload edges (empty and one-byte blocks ride along in the block
      list), overruns and negative starts on the block-chained fallback,
@@ -478,6 +478,93 @@ let test_block_structure () =
       ("xor_stream", Samples.xor_stream ~key:1);
       ("histogram", Samples.histogram ());
       ("dedup_chunks", Samples.dedup_chunks ~bits:11);
+    ]
+
+(* {1 Tier notes} *)
+
+(* The pc of the End that closes the Loop at [lp]. *)
+let end_of_loop insns lp =
+  let rec go pc depth =
+    match insns.(pc) with
+    | Vm.Loop _ -> go (pc + 1) (depth + 1)
+    | Vm.End when depth = 0 -> pc
+    | Vm.End -> go (pc + 1) (depth - 1)
+    | _ -> go (pc + 1) depth
+  in
+  go (lp + 1) 0
+
+(* [Compile.block_tiers]: one non-empty note per block; the Loop block
+   of each idiom sample names its idiom; and every instruction of an
+   idiom loop's body, End included, sits in a block noted as the body
+   of that Loop block — single-block bodies too, whose End is no
+   leader. With the pattern library off no note names an idiom. *)
+let test_block_tiers () =
+  List.iter
+    (fun (what, p, idiom) ->
+      let insns = Vm.insns p in
+      let check_notes ~idioms =
+        let what = if idioms then what else what ^ "[no-idiom]" in
+        let code = Compile.compile ~idioms p in
+        let bs = Compile.blocks code and tiers = Compile.block_tiers code in
+        Alcotest.(check int)
+          (what ^ ": one note per block")
+          (Array.length bs) (Array.length tiers);
+        Array.iteri
+          (fun b note ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: b%d has a note" what b)
+              true (note <> ""))
+          tiers;
+        let block_of pc =
+          let r = ref (-1) in
+          Array.iteri
+            (fun b { Compile.bb_first; bb_last } ->
+              if bb_first <= pc && pc <= bb_last then r := b)
+            bs;
+          !r
+        in
+        let named = ref 0 in
+        Array.iteri
+          (fun b { Compile.bb_last = lp; _ } ->
+            match insns.(lp) with
+            | Vm.Loop _ when Util.contains tiers.(b) " idiom" ->
+              (match idiom with
+               | Some name when Util.contains tiers.(b) name -> incr named
+               | _ -> ());
+              let body = Printf.sprintf "body of b%d" b in
+              for pc = lp + 1 to end_of_loop insns lp do
+                let bb = block_of pc in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: pc %d in b%d [%s] says %S" what pc bb
+                     tiers.(bb) body)
+                  true
+                  (Util.contains tiers.(bb) body)
+              done
+            | _ -> ())
+          bs;
+        Alcotest.(check int)
+          (what ^ ": Loop blocks naming the idiom")
+          (if idioms && idiom <> None then 1 else 0)
+          !named;
+        if not idioms then
+          Array.iteri
+            (fun b note ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: b%d [%s] names no idiom" what b note)
+                false
+                (Util.contains note "idiom"))
+            tiers
+      in
+      check_notes ~idioms:true;
+      check_notes ~idioms:false)
+    [
+      ("checksum", Samples.checksum (), Some "byte-scan fold");
+      ("tee_hash", Samples.tee_hash (), Some "byte-scan fold");
+      ("xor_stream", Samples.xor_stream ~key:1, Some "scatter/store");
+      ("histogram", Samples.histogram (), Some "histogram");
+      ("dedup_chunks", Samples.dedup_chunks ~bits:11, Some "rolling-hash");
+      ("bounded_copy", Samples.bounded_copy (), None);
+      ("dropper", Samples.dropper ~modulo:2, None);
     ]
 
 (* {1 Steady-state allocation}
@@ -780,6 +867,8 @@ let suite =
       `Quick test_rolling_idiom;
     Alcotest.test_case "basic blocks tile the program" `Quick
       test_block_structure;
+    Alcotest.test_case "tier notes name each idiom and its body" `Quick
+      test_block_tiers;
     Alcotest.test_case "both backends run without per-block allocation" `Quick
       test_zero_alloc;
     QCheck_alcotest.to_alcotest prop_differential;
