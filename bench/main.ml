@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (§6) plus the ablations DESIGN.md calls out, printing measured values
-   next to the paper's. Also registers one Bechamel microbenchmark per
-   table measuring the host cost of regenerating it.
+   next to the paper's. The host seconds some targets print are single
+   runs for context; host speed is measured by kbench (kbench/kbench.ml)
+   over repeated forked units.
 
    Usage:
      dune exec bench/main.exe                 -- everything (default sizes)
@@ -9,9 +10,11 @@
      dune exec bench/main.exe -- table2 ablation-watermarks ...
      dune exec bench/main.exe -- quick        -- everything at reduced size
    Targets: table1 table1-natural table2 ablation-watermarks
-            ablation-lockstep sweep-size sweep-fanout sweep-cluster
-            sweep-cluster-quick sweep-wallclock smoke table-udp bechamel
-            quick all *)
+            ablation-lockstep ablation-elevator sweep-size sweep-blocksize
+            sweep-cachesize sweep-cpuspeed sweep-fanout sweep-cluster
+            sweep-cluster-quick sweep-prog sweep-prog-quick smoke table-udp
+            table-media table-sendfile table-relatedwork timeline quick
+            all *)
 
 open Kpath_workloads
 
@@ -691,408 +694,6 @@ let smoke ?(path = "BENCH_kpath.json") () =
                  prog sweep %.1fs; results written to %s\n"
     t1_host t2_host cl_host pr_host path
 
-(* {1 Wall-clock sweep: heap vs wheel engine, events/sec + GC, JSON} *)
-
-(* Run [f] with the GC settled, returning its result plus host seconds,
-   minor words allocated and major collections triggered. *)
-let gc_run f =
-  Gc.full_major ();
-  let s0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let host = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
-  ( r,
-    host,
-    s1.Gc.minor_words -. s0.Gc.minor_words,
-    s1.Gc.major_collections - s0.Gc.major_collections )
-
-(* Run [f] in a forked child and marshal its result back. A 1024-client
-   fan-out legitimately holds ~1 GB of queued frames live; OCaml 5.1
-   cannot compact the major heap afterwards, so without process
-   isolation every later row would pay sweep cost proportional to the
-   accumulated heap of the rows before it — the measurements would
-   depend on their position in the sweep. *)
-(* Throughput-oriented GC for the measurement children: a 32 MB minor
-   heap and a relaxed space overhead trade transient footprint (the
-   children die right after the row) for fewer collections, the same
-   way one sizes a JVM heap for a benchmark host. Recorded in the JSON
-   so the numbers are interpretable. *)
-let bench_gc_space_overhead = 200
-let bench_gc_minor_heap = 4 * 1024 * 1024 (* words *)
-
-(* Peak resident set (kB) of the calling process, from /proc/self/status.
-   Read inside the forked measurement child, so each row reports its own
-   high-water mark rather than the accumulated peak of the sweep.
-   Returns 0 where the proc file is unavailable (non-Linux hosts). *)
-let vm_hwm_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let rec scan () =
-      match input_line ic with
-      | exception End_of_file -> 0
-      | line when String.length line > 6 && String.sub line 0 6 = "VmHWM:" ->
-        Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
-      | _ -> scan ()
-    in
-    Fun.protect ~finally:(fun () -> close_in ic) scan
-
-let in_child (f : unit -> 'a) : 'a =
-  (* The child inherits stdout's buffer; anything pending would be
-     written a second time when the child (or a domain it spawns)
-     flushes on exit. *)
-  flush stdout;
-  flush stderr;
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-    Unix.close rd;
-    Gc.set
-      { (Gc.get ()) with
-        Gc.space_overhead = bench_gc_space_overhead;
-        minor_heap_size = bench_gc_minor_heap;
-      };
-    let result = (try Ok (f ()) with e -> Error (Printexc.to_string e)) in
-    let oc = Unix.out_channel_of_descr wr in
-    Marshal.to_channel oc result [];
-    flush oc;
-    Unix._exit 0
-  | pid -> (
-    Unix.close wr;
-    let ic = Unix.in_channel_of_descr rd in
-    let result : ('a, string) result = Marshal.from_channel ic in
-    close_in ic;
-    ignore (Unix.waitpid [] pid);
-    match result with
-    | Ok v -> v
-    | Error msg -> failwith ("sweep-wallclock child: " ^ msg))
-
-(* Pure engine scheduling rate: 64 self-rescheduling callouts, no
-   processes or devices — isolates the queue backend's per-event cost
-   and shows the pooled handles' steady-state allocation (~0 words). *)
-let engine_microbench backend =
-  let open Kpath_sim in
-  let e = Engine.create ~backend ~tick:(Time.us 1000) () in
-  let stop_at = ref 0 in
-  let rec tick () =
-    if Engine.events_fired e < !stop_at then
-      ignore (Engine.schedule_after e (Time.us 700) tick)
-  in
-  let run_batch target =
-    stop_at := target;
-    for _ = 1 to 64 do
-      ignore (Engine.schedule_after e (Time.us 700) tick)
-    done;
-    Engine.run e
-  in
-  run_batch 10_000 (* warm-up: pool and wheel reach steady state *);
-  let base = Engine.events_fired e in
-  let n = 500_000 in
-  let (), host, minor, majors = gc_run (fun () -> run_batch (base + n)) in
-  let fired = Engine.events_fired e - base in
-  (fired, host, minor /. float_of_int fired, majors)
-
-let backend_config backend =
-  { Kpath_kernel.Config.decstation_5000_200 with
-    Kpath_kernel.Config.sim_engine = backend;
-  }
-
-let sweep_wallclock ?(path = "BENCH_wallclock.json") () =
-  header
-    "Sweep (host): simulator wall-clock and GC cost, binary-heap vs \
-     timing-wheel event queue";
-  let backends = [ ("heap", `Heap); ("wheel", `Wheel) ] in
-  let fan_clients = [ 1; 4; 16; 64; 256; 1024 ] in
-  let evps events host = float_of_int events /. host in
-  Printf.printf "%-26s | %-5s | %9s | %8s | %11s | %11s | %5s | %9s\n"
-    "workload" "queue" "events" "host s" "events/s" "minor words" "major"
-    "maxRSS kB";
-  Printf.printf "%s\n" line;
-  let micro_rows =
-    List.map
-      (fun (name, backend) ->
-        let (fired, host, words_per_event, majors), hwm =
-          in_child (fun () ->
-              (* [let] sequencing: a tuple would evaluate right-to-left
-                 and read the high-water mark before the workload runs. *)
-              let r = engine_microbench backend in
-              (r, vm_hwm_kb ()))
-        in
-        Printf.printf
-          "%-26s | %-5s | %9d | %8.3f | %11.0f | %8.2f/ev | %5d | %9d\n"
-          "engine-only callouts" name fired host
-          (evps fired host) words_per_event majors hwm;
-        (name, fired, host, words_per_event, majors, hwm))
-      backends
-  in
-  let copy_rows =
-    List.map
-      (fun (name, backend) ->
-        let (m, host, minor, majors), hwm =
-          in_child (fun () ->
-              let r =
-                gc_run (fun () ->
-                    Experiments.measure_copy ~mode:`Scp ~disk:`Rz58
-                      ~file_bytes:(8 * mb)
-                      ~machine_config:(backend_config backend) ())
-              in
-              (r, vm_hwm_kb ()))
-        in
-        Printf.printf
-          "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-          "scp copy 8 MB rz58" name m.Experiments.cm_events host
-          (evps m.Experiments.cm_events host)
-          minor majors hwm;
-        (name, m, host, minor, majors, hwm))
-      backends
-  in
-  let prog_wc_rows =
-    (* Two VM workloads per engine: the fold-idiom checksum and the
-       rolling-hash chunker, so the wall-clock gate watches an idiom
-       from each loop family. *)
-    let workloads =
-      [
-        ("checksum", fun () -> [ Kpath_vm.Samples.checksum () ]);
-        ("dedup", fun () -> [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
-      ]
-    in
-    List.concat_map
-      (fun (wname, progs) ->
-        List.map
-          (fun (name, backend) ->
-            let (r, host, minor, majors), hwm =
-              in_child (fun () ->
-                  let r =
-                    gc_run (fun () ->
-                        Experiments.measure_prog ~disk:`Rz58
-                          ~file_bytes:(8 * mb)
-                          ~stage:(`Prog ("prog-" ^ wname, progs ()))
-                          ~machine_config:(backend_config backend) ())
-                  in
-                  (r, vm_hwm_kb ()))
-            in
-            Printf.printf
-              "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-              (Printf.sprintf "prog %s 8 MB" wname)
-              name r.Experiments.pr_events host
-              (evps r.Experiments.pr_events host)
-              minor majors hwm;
-            (wname, name, r, host, minor, majors, hwm))
-          backends)
-      workloads
-  in
-  let fan_rows =
-    List.concat_map
-      (fun (name, backend) ->
-        List.map
-          (fun clients ->
-            let (m, host, minor, majors), hwm =
-              in_child (fun () ->
-                  let r =
-                    gc_run (fun () ->
-                        Experiments.measure_fanout ~clients ~file_bytes:mb
-                          ~bandwidth:40e6
-                          ~machine_config:(backend_config backend) ())
-                  in
-                  (r, vm_hwm_kb ()))
-            in
-            Printf.printf
-              "%-26s | %-5s | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-              (Printf.sprintf "fan-out %d clients" clients)
-              name m.Experiments.fo_events host
-              (evps m.Experiments.fo_events host)
-              minor majors hwm;
-            (name, clients, m, host, minor, majors, hwm))
-          fan_clients)
-      backends
-  in
-  (* Sharded fan-out: the million-client shape. Per-client file sizes
-     shrink as the population grows so a row prices the *population*
-     (per-client footprint, merge, domain fan-out), not total bytes.
-     The 1M row is a smoke test: one 8 KB block per client. *)
-  let shard_cases =
-    [ (4096, 64 * 1024); (65536, 16 * 1024); (1024 * 1024, 8 * 1024) ]
-  in
-  let shard_rows =
-    List.concat_map
-      (fun (clients, file_bytes) ->
-        List.map
-          (fun domains ->
-            let (m, host, minor, majors), hwm =
-              in_child (fun () ->
-                  let r =
-                    gc_run (fun () ->
-                        Experiments.measure_fanout_sharded ~clients ~domains
-                          ~file_bytes ~bandwidth:40e6 ())
-                  in
-                  (r, vm_hwm_kb ()))
-            in
-            Printf.printf
-              "%-26s | K=%-3d | %9d | %8.3f | %11.0f | %11.0f | %5d | %9d\n"
-              (Printf.sprintf "sharded fan-out %d" clients)
-              domains m.Experiments.fsh_events host
-              (evps m.Experiments.fsh_events host)
-              minor majors hwm;
-            (clients, domains, file_bytes, m, host, minor, majors, hwm))
-          [ 1; 4 ])
-      shard_cases
-  in
-  (let per_client (clients, _, _, _, _, _, _, hwm) =
-     if clients = 1024 * 1024 then
-       Some (float_of_int hwm *. 1024.0 /. float_of_int clients)
-     else None
-   in
-   match List.find_map per_client shard_rows with
-   | Some b ->
-     Printf.printf
-       "(sharded digests are bit-identical across K; 1M-client row costs \
-        %.0f bytes/client incl. runtime)\n"
-       b
-   | None -> ());
-  let buf = Buffer.create 4096 in
-  let field last fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_string buf (if last then "" else ", "))
-      fmt
-  in
-  let objects rows render =
-    let n = List.length rows in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf "{";
-        render r;
-        Buffer.add_string buf (if i = n - 1 then "}" else "}, "))
-      rows;
-    Buffer.add_string buf "]"
-  in
-  Buffer.add_string buf "{\n  \"benchmark\": \"kpath-wallclock\",\n";
-  Printf.ksprintf (Buffer.add_string buf)
-    "  \"gc\": {\"space_overhead\": %d, \"minor_heap_words\": %d},\n"
-    bench_gc_space_overhead bench_gc_minor_heap;
-  Buffer.add_string buf "  \"engine_micro\": ";
-  objects micro_rows (fun (name, fired, host, words_per_event, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"events\": %d" fired;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f" (evps fired host);
-      field false "\"minor_words_per_event\": %.3f" words_per_event;
-      field false "\"major_collections\": %d" majors;
-      field true "\"max_rss_kb\": %d" hwm);
-  Buffer.add_string buf ",\n  \"copy\": ";
-  objects copy_rows (fun (name, m, host, minor, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"file_bytes\": %d" (8 * mb);
-      field false "\"events\": %d" m.Experiments.cm_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f"
-        (evps m.Experiments.cm_events host);
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" m.Experiments.cm_verified);
-  Buffer.add_string buf ",\n  \"prog\": ";
-  objects prog_wc_rows
-    (fun (wname, name, r, host, minor, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"workload\": \"%s\"" (json_escape wname);
-      field false "\"file_bytes\": %d" (8 * mb);
-      field false "\"events\": %d" r.Experiments.pr_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f" (evps r.Experiments.pr_events host);
-      field false "\"insns\": %d" r.Experiments.pr_insns;
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" r.Experiments.pr_verified);
-  Buffer.add_string buf ",\n  \"fanout\": ";
-  objects fan_rows (fun (name, clients, m, host, minor, majors, hwm) ->
-      field false "\"engine\": \"%s\"" (json_escape name);
-      field false "\"clients\": %d" clients;
-      field false "\"file_bytes\": %d" mb;
-      field false "\"events\": %d" m.Experiments.fo_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f"
-        (evps m.Experiments.fo_events host);
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" m.Experiments.fo_verified);
-  Buffer.add_string buf ",\n  \"fanout_sharded\": ";
-  objects shard_rows
-    (fun (clients, domains, file_bytes, m, host, minor, majors, hwm) ->
-      field false "\"clients\": %d" clients;
-      field false "\"domains\": %d" domains;
-      field false "\"file_bytes\": %d" file_bytes;
-      field false "\"events\": %d" m.Experiments.fsh_events;
-      field false "\"host_seconds\": %.4f" host;
-      field false "\"events_per_sec\": %.0f"
-        (evps m.Experiments.fsh_events host);
-      field false "\"sim_seconds\": %.4f" m.Experiments.fsh_seconds;
-      field false "\"digest\": \"%016x\"" m.Experiments.fsh_digest;
-      field false "\"minor_words\": %.0f" minor;
-      field false "\"major_collections\": %d" majors;
-      field false "\"max_rss_kb\": %d" hwm;
-      field true "\"verified\": %b" m.Experiments.fsh_verified);
-  Buffer.add_string buf "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "(results written to %s)\n" path;
-  print_newline ()
-
-(* {1 Bechamel microbenchmarks: one per table} *)
-
-let bechamel () =
-  header
-    "Bechamel: host cost of regenerating each table (reduced problem sizes)";
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"table1-row-ram-paced"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.slowdown ~mode:`Scp ~disk:`Ram
-                  ~file_bytes:(256 * 1024) ~pace:1.0e6 ~ops:50 ())));
-      Test.make ~name:"table2-row-ram"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.measure_copy ~mode:`Scp ~disk:`Ram
-                  ~file_bytes:(256 * 1024) ())));
-      Test.make ~name:"table2-row-rz58"
-        (Staged.stage (fun () ->
-             ignore
-               (Experiments.measure_copy ~mode:`Scp ~disk:`Rz58
-                  ~file_bytes:(256 * 1024) ())));
-      Test.make ~name:"udp-relay-splice"
-        (Staged.stage (fun () ->
-             ignore (Experiments.measure_relay ~mode:`Splice ~datagrams:50 ())));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) ~kde:None () in
-      let results = Benchmark.all cfg instances test in
-      let analysis =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-28s %12.3f ms/run\n" name (est /. 1e6)
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        analysis)
-    tests;
-  print_newline ()
-
 (* {1 Driver} *)
 
 let all_targets ~quick =
@@ -1120,8 +721,7 @@ let all_targets ~quick =
   if not quick then print_cpuspeed_sweep ();
   print_timeline ();
   print_elevator ~file_bytes:(min file_bytes (4 * mb)) ();
-  if not quick then print_table1 ~file_bytes ~ops ~pace:None ();
-  bechamel ()
+  if not quick then print_table1 ~file_bytes ~ops ~pace:None ()
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -1156,18 +756,16 @@ let () =
         | "sweep-prog" -> print_prog_sweep ()
         | "sweep-prog-quick" -> print_prog_sweep ~file_bytes:mb ()
         | "smoke" -> smoke ()
-        | "sweep-wallclock" -> sweep_wallclock ()
         | "table-relatedwork" -> print_relatedwork ()
         | "sweep-cpuspeed" -> print_cpuspeed_sweep ()
         | "timeline" -> print_timeline ()
-        | "bechamel" -> bechamel ()
         | "all" -> all_targets ~quick:false
         | other ->
           Printf.eprintf
             "unknown target %s (try: table1 table1-natural table2 \
              ablation-watermarks ablation-lockstep sweep-size sweep-cluster \
-             sweep-prog sweep-wallclock smoke table-udp table-media bechamel \
-             quick all)\n"
+             sweep-prog smoke table-udp table-media table-sendfile quick \
+             all)\n"
             other;
           exit 1)
       targets

@@ -50,29 +50,9 @@ let max_cluster_arg =
            ~doc:"Largest multi-block transfer the clustered I/O paths may \
                  build (1 = per-block I/O, the paper's original path).")
 
-let engine_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "wheel" -> Ok `Wheel
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S (heap|wheel)" s))
-  in
-  let print fmt e =
-    Format.pp_print_string fmt
-      (match e with `Heap -> "heap" | `Wheel -> "wheel")
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(value
-       & opt engine_conv Config.decstation_5000_200.Config.sim_engine
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Event-queue backend: heap (binary heap) or wheel \
-                 (hierarchical timing wheel). The simulation is identical \
-                 either way; only host speed differs.")
-
-let config_with_cluster max_cluster sim_engine =
+let config_with_cluster max_cluster =
   if max_cluster < 1 then usage_error "--max-cluster must be at least 1";
-  { Config.decstation_5000_200 with Config.max_cluster; sim_engine }
+  { Config.decstation_5000_200 with Config.max_cluster }
 
 (* info *)
 
@@ -122,14 +102,14 @@ let copy_cmd =
          & info [ "trace" ] ~docv:"N"
              ~doc:"Record splice events; print the last $(docv) afterwards.")
   in
-  let run disk size_mb mode same_disk watermarks trace max_cluster engine =
+  let run disk size_mb mode same_disk watermarks trace max_cluster =
     let config =
       Option.map
         (fun (lo, hi, burst) ->
           Kpath_core.Flowctl.make ~read_lo:lo ~write_hi:hi ~read_burst:burst)
         watermarks
     in
-    let machine_config = config_with_cluster max_cluster engine in
+    let machine_config = config_with_cluster max_cluster in
     match trace with
     | None ->
       let m =
@@ -187,7 +167,7 @@ let copy_cmd =
   in
   Cmd.v (Cmd.info "copy" ~doc:"Measure one cold file copy.")
     Term.(const run $ disk_arg $ size_arg $ mode_arg $ same_disk_arg
-          $ watermarks_arg $ trace_arg $ max_cluster_arg $ engine_arg)
+          $ watermarks_arg $ trace_arg $ max_cluster_arg)
 
 (* cluster *)
 
@@ -227,6 +207,7 @@ let table1_cmd =
     Arg.(value & flag & info [ "natural" ] ~doc:"Run copiers at device maximum instead of pacing to 1 MB/s.")
   in
   let run size_mb ops natural =
+    if ops < 1 then usage_error "--ops must be at least 1";
     let pace = if natural then None else Some 1.0e6 in
     List.iter
       (fun r ->
@@ -346,8 +327,7 @@ let graph_cmd =
                    Results are bit-identical for every $(docv). Incompatible \
                    with filter and trace options.")
   in
-  let run clients size_kb bandwidth window throttle checksum prog trace domains
-      engine =
+  let run clients size_kb bandwidth window throttle checksum prog trace domains =
     (* A population past one engine's event pool is a size error, not a
        crash: one line and exit 1. *)
     let sized f =
@@ -392,9 +372,6 @@ let graph_cmd =
       @ prog_filter
     in
     let filters = if filters = [] then None else Some filters in
-    let machine_config =
-      { Config.decstation_5000_200 with Config.sim_engine = engine }
-    in
     (match domains with
      | Some k ->
        if k < 1 then usage_error "--domains must be at least 1";
@@ -402,12 +379,10 @@ let graph_cmd =
        then
          usage_error
            "--domains is incompatible with filter, window and trace options";
-       let machine_config = { machine_config with Config.sim_domains = k } in
        let r =
          sized (fun () ->
-             Experiments.measure_fanout_sharded ~clients
-               ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6)
-               ~machine_config ())
+             Experiments.measure_fanout_sharded ~clients ~domains:k
+               ~file_bytes:(size_kb * 1024) ~bandwidth:(bandwidth *. 1e6) ())
        in
        Format.printf
          "fan-out %d KB x %d clients over %d domain%s: %.0f KB/s aggregate in \
@@ -422,8 +397,7 @@ let graph_cmd =
     let measure trace_json =
       sized (fun () ->
           Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
-            ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json
-            ~machine_config ())
+            ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json ())
     in
     let r =
       match trace with
@@ -456,8 +430,7 @@ let graph_cmd =
     (Cmd.info "graph"
        ~doc:"Stream one file to N TCP clients through a splice graph (fan-out).")
     Term.(const run $ clients_arg $ size_kb_arg $ bandwidth_arg $ window_arg
-          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg $ domains_arg
-          $ engine_arg)
+          $ throttle_arg $ checksum_arg $ prog_arg $ trace_arg $ domains_arg)
 
 (* prog *)
 
@@ -571,7 +544,15 @@ let sendfile_cmd =
     List.iter
       (fun (name, mode) ->
         let r =
-          Experiments.measure_sendfile ~mode ~file_bytes:(file_bytes size_mb) ~loss ()
+          try
+            Experiments.measure_sendfile ~mode
+              ~file_bytes:(file_bytes size_mb) ~loss ()
+          with Experiments.Handshake_failed ->
+            Format.eprintf
+              "kpathctl: %s: TCP handshake timed out under frame loss \
+               (lower --loss)@."
+              name;
+            exit 1
         in
         Format.printf
           "%-9s: verified=%b %.0f KB/s server-cpu %.2fs retransmits %d@." name

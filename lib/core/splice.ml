@@ -628,21 +628,6 @@ let build_src_map fs (ino : Inode.t) ~off_blocks ~nblocks =
       | Some phys -> phys
       | None -> Fs_error.raise_err (Fs_error.Einval "splice: sparse source"))
 
-(* Build the destination table with the special allocating bmap that
-   skips zero-fill (§5.2), growing the file and keeping the cache
-   coherent with the coming write-around. *)
-let build_dst_map fs (ino : Inode.t) ~off_blocks ~nblocks ~total ~block_size =
-  let map =
-    Array.init nblocks (fun i -> Fs.bmap_alloc fs ino (off_blocks + i) ~zero:false)
-  in
-  let new_size = (off_blocks * block_size) + total in
-  if new_size > ino.Inode.size then begin
-    ino.Inode.size <- new_size;
-    ino.Inode.dirty <- true
-  end;
-  Array.iter (fun phys -> Cache.invalidate_cached (Fs.cache fs) (Fs.dev fs) phys) map;
-  map
-
 let make_desc ctx ~config ~total ~block_size kind =
   let sd_id = ctx.next_id in
   ctx.next_id <- sd_id + 1;
@@ -681,9 +666,7 @@ let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
       then
         Fs_error.raise_err
           (Fs_error.Einval "splice: source and destination ranges overlap");
-      let dst_map =
-        build_dst_map dst_fs dst_ino ~off_blocks ~nblocks ~total ~block_size
-      in
+      let dst_map = Fs.alloc_dst_map dst_fs dst_ino ~off_blocks ~nblocks ~total in
       To_file { dst_fs; dst_map }
     | Endpoint.Dst_chardev cd -> To_chardev cd
     | Endpoint.Dst_socket { sock; dst } ->
@@ -876,9 +859,7 @@ let start_stream_pump ctx ~config ~mic ~sink ~size =
   | Endpoint.Dst_file { fs; ino; off_blocks } ->
     let block_size = Fs.block_size fs in
     let nblocks = (size + block_size - 1) / block_size in
-    let sp_map =
-      build_dst_map fs ino ~off_blocks ~nblocks ~total:size ~block_size
-    in
+    let sp_map = Fs.alloc_dst_map fs ino ~off_blocks ~nblocks ~total:size in
     let pump =
       {
         sp_fs = fs;

@@ -207,6 +207,18 @@ let bmap_alloc t (ino : Inode.t) lblk ~zero =
     end
   end
 
+let alloc_dst_map t (ino : Inode.t) ~off_blocks ~nblocks ~total =
+  let map =
+    Array.init nblocks (fun i -> bmap_alloc t ino (off_blocks + i) ~zero:false)
+  in
+  let new_size = (off_blocks * block_size t) + total in
+  if new_size > ino.size then begin
+    ino.size <- new_size;
+    ino.dirty <- true
+  end;
+  Array.iter (fun phys -> Cache.invalidate_cached t.cache t.dev phys) map;
+  map
+
 let blocks_of_size t size = (size + block_size t - 1) / block_size t
 
 let block_list t (ino : Inode.t) =

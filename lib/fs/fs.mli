@@ -115,6 +115,14 @@ val bmap_alloc : t -> Inode.t -> int -> zero:bool -> int
     path); with [~zero:false] they are handed over raw for a caller that
     will overwrite them entirely (the splice destination path). *)
 
+val alloc_dst_map :
+  t -> Inode.t -> off_blocks:int -> nblocks:int -> total:int -> int array
+(** The physical-block table of a splice or graph destination (§5.2):
+    logical blocks [off_blocks .. off_blocks+nblocks-1] through
+    [bmap_alloc ~zero:false], the file grown to cover [total] bytes
+    from [off_blocks], and every mapped block dropped from the cache so
+    it stays coherent with the coming write-around. Process context. *)
+
 val block_list : t -> Inode.t -> int list
 (** Physical blocks of every mapped data block, in logical order —
     the fsync work list. *)

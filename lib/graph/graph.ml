@@ -923,24 +923,6 @@ let build_src_map (sn : source) =
       | Some phys -> phys
       | None -> Fs_error.raise_err (Fs_error.Einval "graph: sparse source"))
 
-(* Destination block table via the allocating bmap that skips zero-fill,
-   growing the file and keeping the cache coherent with the coming
-   write-around — as splice's setup does (§5.2). *)
-let build_dst_map fs (ino : Inode.t) ~off_blocks ~nblocks ~total ~block_size =
-  let map =
-    Array.init nblocks (fun i ->
-        Fs.bmap_alloc fs ino (off_blocks + i) ~zero:false)
-  in
-  let new_size = (off_blocks * block_size) + total in
-  if new_size > ino.Inode.size then begin
-    ino.Inode.size <- new_size;
-    ino.Inode.dirty <- true
-  end;
-  Array.iter
-    (fun phys -> Cache.invalidate_cached (Fs.cache fs) (Fs.dev fs) phys)
-    map;
-  map
-
 let ranges_overlap a_lo a_len b_lo b_len =
   a_lo < b_lo + b_len && b_lo < a_lo + a_len
 
@@ -1020,7 +1002,7 @@ let validate_and_build t =
                 (Fs_error.Einval
                    "graph: source and destination ranges overlap"))
           sources;
-        sk.sk_map <- build_dst_map fs ino ~off_blocks ~nblocks ~total ~block_size
+        sk.sk_map <- Fs.alloc_dst_map fs ino ~off_blocks ~nblocks ~total
       | (Sink_chardev _ | Sink_udp _ | Sink_tcp _ | Sink_fn _), _ :: _ :: _ ->
         invalid_arg "Graph.start: fan-in requires a file sink"
       | (Sink_chardev _ | Sink_udp _ | Sink_tcp _ | Sink_fn _), [ _ ] -> ())

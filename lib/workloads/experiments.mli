@@ -204,6 +204,11 @@ type sendfile_measure = {
   sf_retransmits : int;  (** TCP segments retransmitted *)
 }
 
+exception Handshake_failed
+(** Raised by {!measure_sendfile} when frame loss keeps the client's
+    TCP handshake from completing before its connect times out: nothing
+    is served, so there is no throughput to report. *)
+
 val measure_sendfile :
   mode:[ `ReadWrite | `Sendfile ] ->
   ?file_bytes:int ->
