@@ -12,9 +12,12 @@
    Targets: table1 table1-natural table2 ablation-watermarks
             ablation-lockstep ablation-elevator sweep-size sweep-blocksize
             sweep-cachesize sweep-cpuspeed sweep-fanout sweep-cluster
-            sweep-cluster-quick sweep-prog sweep-prog-quick smoke table-udp
-            table-media table-sendfile table-relatedwork timeline quick
-            all *)
+            sweep-cluster-quick sweep-prog sweep-prog-quick table-udp
+            table-media table-sendfile table-relatedwork timeline quick all
+   The simulated results of table1 table2 ablation-watermarks
+   ablation-lockstep ablation-elevator table-udp table-media
+   table-sendfile table-relatedwork timeline are pinned by
+   test/golden under dune runtest. *)
 
 open Kpath_workloads
 
@@ -411,18 +414,8 @@ let time_host f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let cluster_rows ?(file_bytes = 8 * mb) ?(ops = 2000)
+let print_cluster_sweep ?(file_bytes = 8 * mb) ?(ops = 2000)
     ?(sizes = [ 1; 2; 4; 8; 16 ]) ?(disks = [ `Ram; `Rz56; `Rz58 ]) () =
-  List.concat_map
-    (fun disk ->
-      List.map
-        (fun cluster ->
-          time_host (fun () ->
-              Experiments.measure_cluster ~disk ~file_bytes ~ops ~cluster ()))
-        sizes)
-    disks
-
-let print_cluster_sweep ?(file_bytes = 8 * mb) ?ops ?sizes ?disks () =
   header
     (Printf.sprintf
        "Sweep (s7): clustered multi-block I/O, %d MB splice copy --      throughput, device interrupts and CPU availability vs. max_cluster"
@@ -431,12 +424,18 @@ let print_cluster_sweep ?(file_bytes = 8 * mb) ?ops ?sizes ?disks () =
     "SCP KB/s" "intrs/MB" "F_scp" "host s";
   Printf.printf "%s\n" line;
   List.iter
-    (fun (r, host) ->
-      Printf.printf "%-5s | %7d | %9.0f | %9.1f | %7.3f | %7.2f\n"
-        (Experiments.disk_name r.Experiments.cl_disk)
-        r.Experiments.cl_cluster r.Experiments.cl_scp_kbps
-        r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp host)
-    (cluster_rows ~file_bytes ?ops ?sizes ?disks ());
+    (fun disk ->
+      List.iter
+        (fun cluster ->
+          let r, host =
+            time_host (fun () ->
+                Experiments.measure_cluster ~disk ~file_bytes ~ops ~cluster ())
+          in
+          Printf.printf "%-5s | %7d | %9.0f | %9.1f | %7.3f | %7.2f\n"
+            (Experiments.disk_name disk) cluster r.Experiments.cl_scp_kbps
+            r.Experiments.cl_intrs_per_mb r.Experiments.cl_f_scp host)
+        sizes)
+    disks;
   Printf.printf
     "(interrupts/MB should fall ~linearly with the cluster size; cluster=1 \
      is the paper's per-block path)\n";
@@ -472,17 +471,6 @@ let prog_stages () =
     `Prog ("prog-histogram", [ Kpath_vm.Samples.histogram () ]);
     `Prog ("prog-dedup", [ Kpath_vm.Samples.dedup_chunks ~bits:11 ]);
   ]
-
-let prog_rows ?(file_bytes = 4 * mb) ?(disks = [ `Ram; `Rz58 ]) () =
-  List.map
-    (fun disk ->
-      ( disk,
-        List.map
-          (fun stage ->
-            time_host (fun () ->
-                Experiments.measure_prog ~disk ~file_bytes ~stage ()))
-          (prog_stages ()) ))
-    disks
 
 (* VM-only microbench: one program over one 8 KB payload, no simulation
    around it. The sweep rows below price whole graph copies, where
@@ -525,7 +513,14 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
     "KB/s" "CPU s" "insns/blk" "us/blk" "host s";
   Printf.printf "%s\n" line;
   List.iter
-    (fun (disk, rows) ->
+    (fun disk ->
+      let rows =
+        List.map
+          (fun stage ->
+            time_host (fun () ->
+                Experiments.measure_prog ~disk ~file_bytes ~stage ()))
+          (prog_stages ())
+      in
       let plain_cpu =
         List.fold_left
           (fun acc (r, _) ->
@@ -551,7 +546,7 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
       Printf.printf "%-5s   checksum(builtin) = checksum(prog): %b\n"
         (Experiments.disk_name disk)
         (match (!builtin, !prog) with Some a, Some b -> a = b | _ -> false))
-    (prog_rows ~file_bytes ());
+    [ `Ram; `Rz58 ];
   let runs = 2000 in
   let ni = vm_micro_ns_per_run ~runs `Interp in
   let nc = vm_micro_ns_per_run ~runs `Compiled in
@@ -592,107 +587,6 @@ let print_prog_sweep ?(file_bytes = 4 * mb) () =
      The interpreter and the compiled\n closures charge the same simulated \
      cost per instruction; only host wall-clock differs)\n";
   print_newline ()
-
-(* {1 Smoke run: small-size tables + cluster sweep, JSON for CI} *)
-
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let smoke ?(path = "BENCH_kpath.json") () =
-  let file_bytes = mb in
-  let ops = 500 in
-  let t1, t1_host =
-    time_host (fun () ->
-        Experiments.table1 ~file_bytes ~ops ~pace:(Some 1.0e6) ())
-  in
-  let t2, t2_host = time_host (fun () -> Experiments.table2 ~file_bytes ()) in
-  let cl, cl_host =
-    time_host (fun () ->
-        cluster_rows ~file_bytes ~ops:250 ~sizes:[ 1; 4; 8 ]
-          ~disks:[ `Ram; `Rz58 ] ())
-  in
-  let pr, pr_host =
-    time_host (fun () ->
-        match prog_rows ~file_bytes ~disks:[ `Ram ] () with
-        | [ (_, rows) ] -> rows
-        | _ -> assert false)
-  in
-  let prog_checksums_match =
-    let find stage =
-      List.find_map
-        (fun (r, _) ->
-          if r.Experiments.pr_stage = stage then r.Experiments.pr_checksum
-          else None)
-        pr
-    in
-    match (find "checksum", find "prog-checksum") with
-    | Some a, Some b -> a = b
-    | _ -> false
-  in
-  let buf = Buffer.create 4096 in
-  let field last fmt = Printf.ksprintf
-      (fun s -> Buffer.add_string buf s;
-        Buffer.add_string buf (if last then "" else ", "))
-      fmt
-  in
-  let objects rows render =
-    let n = List.length rows in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf "{";
-        render r;
-        Buffer.add_string buf (if i = n - 1 then "}" else "}, "))
-      rows;
-    Buffer.add_string buf "]"
-  in
-  Buffer.add_string buf "{\n  \"benchmark\": \"kpath\",\n";
-  Printf.ksprintf (Buffer.add_string buf) "  \"file_bytes\": %d,\n" file_bytes;
-  Buffer.add_string buf "  \"table1\": ";
-  objects t1 (fun r ->
-      field false "\"disk\": \"%s\""
-        (json_escape (Experiments.disk_name r.Experiments.av_disk));
-      field false "\"f_cp\": %.4f" r.Experiments.av_f_cp;
-      field true "\"f_scp\": %.4f" r.Experiments.av_f_scp);
-  Buffer.add_string buf ",\n  \"table2\": ";
-  objects t2 (fun r ->
-      field false "\"disk\": \"%s\""
-        (json_escape (Experiments.disk_name r.Experiments.tp_disk));
-      field false "\"scp_kbps\": %.1f" r.Experiments.tp_scp_kbps;
-      field true "\"cp_kbps\": %.1f" r.Experiments.tp_cp_kbps);
-  Buffer.add_string buf ",\n  \"cluster_sweep\": ";
-  objects cl (fun (r, host) ->
-      field false "\"disk\": \"%s\""
-        (json_escape (Experiments.disk_name r.Experiments.cl_disk));
-      field false "\"cluster\": %d" r.Experiments.cl_cluster;
-      field false "\"scp_kbps\": %.1f" r.Experiments.cl_scp_kbps;
-      field false "\"intrs_per_mb\": %.2f" r.Experiments.cl_intrs_per_mb;
-      field false "\"f_scp\": %.4f" r.Experiments.cl_f_scp;
-      field true "\"host_seconds\": %.3f" host);
-  Buffer.add_string buf ",\n  \"prog_sweep\": ";
-  objects pr (fun (r, host) ->
-      field false "\"stage\": \"%s\"" (json_escape r.Experiments.pr_stage);
-      field false "\"kb_per_sec\": %.1f" r.Experiments.pr_kb_per_sec;
-      field false "\"cpu_sec\": %.4f" r.Experiments.pr_cpu_sec;
-      field false "\"runs\": %d" r.Experiments.pr_runs;
-      field false "\"insns\": %d" r.Experiments.pr_insns;
-      field false "\"verified\": %b" r.Experiments.pr_verified;
-      field true "\"host_seconds\": %.3f" host);
-  Printf.ksprintf (Buffer.add_string buf)
-    ",\n  \"prog_checksum_match\": %b" prog_checksums_match;
-  Printf.ksprintf (Buffer.add_string buf)
-    ",\n  \"host_seconds\": {\"table1\": %.3f, \"table2\": %.3f, \
-     \"cluster_sweep\": %.3f, \"prog_sweep\": %.3f}\n}\n"
-    t1_host t2_host cl_host pr_host;
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "smoke: table1 %.1fs, table2 %.1fs, cluster sweep %.1fs, \
-                 prog sweep %.1fs; results written to %s\n"
-    t1_host t2_host cl_host pr_host path
 
 (* {1 Driver} *)
 
@@ -755,7 +649,6 @@ let () =
             ~disks:[ `Ram; `Rz58 ] ()
         | "sweep-prog" -> print_prog_sweep ()
         | "sweep-prog-quick" -> print_prog_sweep ~file_bytes:mb ()
-        | "smoke" -> smoke ()
         | "table-relatedwork" -> print_relatedwork ()
         | "sweep-cpuspeed" -> print_cpuspeed_sweep ()
         | "timeline" -> print_timeline ()
@@ -764,8 +657,7 @@ let () =
           Printf.eprintf
             "unknown target %s (try: table1 table1-natural table2 \
              ablation-watermarks ablation-lockstep sweep-size sweep-cluster \
-             sweep-prog smoke table-udp table-media table-sendfile quick \
-             all)\n"
+             sweep-prog table-udp table-media table-sendfile quick all)\n"
             other;
           exit 1)
       targets

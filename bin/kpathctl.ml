@@ -396,8 +396,14 @@ let graph_cmd =
      | None -> ());
     let measure trace_json =
       sized (fun () ->
-          Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
-            ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json ())
+          try
+            Experiments.measure_fanout ~clients ~file_bytes:(size_kb * 1024)
+              ~bandwidth:(bandwidth *. 1e6) ?filters ?window ?trace_json ()
+          with Experiments.Handshake_failed ->
+            Format.eprintf
+              "kpathctl: graph: TCP handshake timed out while the server \
+               wrote the file (lower --size-kb)@.";
+            exit 1)
     in
     let r =
       match trace with

@@ -52,6 +52,9 @@ let clear b f = b.b_flags <- b.b_flags land lnot f
 
 let valid b = has b b_done && not (has b b_error_flag)
 
+let error b =
+  match b.b_error with Some (Blkdev.Io_error m) -> Some m | None -> None
+
 let key b =
   match b.b_dev with
   | Some dev -> (dev.Blkdev.dv_id, b.b_blkno)

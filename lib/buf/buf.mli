@@ -69,6 +69,10 @@ val clear : t -> int -> unit
 val valid : t -> bool
 (** [valid b] is [has b b_done && not (has b b_error_flag)]. *)
 
+val error : t -> string option
+(** The device's message if the last operation failed (the cache sets
+    [b_error] and [b_error_flag] together), [None] if it succeeded. *)
+
 val key : t -> int * int
 (** [(device id, blkno)] of the current identity. Raises
     [Invalid_argument] when the buffer has no device. *)

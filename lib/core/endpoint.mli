@@ -30,7 +30,8 @@ val src_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> source
 val dst_file : Fs.t -> Inode.t -> ?off_blocks:int -> unit -> sink
 (** File sink; [off_blocks] defaults to 0. *)
 
-val describe_source : source -> string
-(** Human-readable endpoint name for traces and errors. *)
-
-val describe_sink : sink -> string
+val check_sink : block_size:int -> sink -> unit
+(** The sink rules of a block-streaming splice or graph: a file sink
+    shares the source's [block_size], and a datagram sink carries a
+    whole block in one datagram (at most 8 KB). Raises
+    [Invalid_argument] otherwise. *)

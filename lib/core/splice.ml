@@ -44,7 +44,8 @@ let eof = -1
 type file_pump = {
   src_fs : Fs.t;
   src_map : int array;  (* physical block table, built by bmap *)
-  fp_sink : file_sink;
+  fp_sink : Endpoint.sink;
+  dst_map : int array;  (* file sinks: destination block table *)
   nblocks : int;
   mutable next_read : int;  (* next logical block to read *)
   mutable fp_reads : int;  (* pending read requests (clusters) *)
@@ -65,12 +66,6 @@ type file_pump = {
      full cluster's media time. *)
   mutable ramp : int;
 }
-
-and file_sink =
-  | To_file of { dst_fs : Fs.t; dst_map : int array }
-  | To_chardev of Chardev.t
-  | To_socket of { sock : Udp.t; dst : Udp.addr }
-  | To_tcp of Tcp.conn
 
 type dgram_pump = {
   dg_src : Udp.t;
@@ -237,6 +232,12 @@ let wq_insert (p : file_pump) lblk b =
     in
     p.wq <- ins p.wq
 
+(* "lblk" or "first..last" of a write run, for traces. *)
+let run_span = function
+  | [ (l, _) ] -> string_of_int l
+  | (l, _) :: _ as run -> Printf.sprintf "%d..%d" l (l + List.length run - 1)
+  | [] -> ""
+
 let[@kpath.intr] rec issue_reads t (p : file_pump) n =
   if n > 0 && t.st = Running && p.next_read < p.nblocks then begin
     let lblk = p.next_read in
@@ -332,22 +333,17 @@ and[@kpath.intr] read_done t (p : file_pump) lblk (b : Buf.t) =
     complete_if_done t p
   | Completed -> assert false
   | Running ->
-    if Buf.has b Buf.b_error_flag then begin
-      let reason =
-        match b.Buf.b_error with
-        | Some (Blkdev.Io_error m) -> m
-        | None -> "read error"
-      in
+    match Buf.error b with
+    | Some reason ->
       Cache.brelse t.ctx.cache b;
       abort_pump t p reason
-    end
-    else begin
+    | None -> (
       Hashtbl.replace p.inflight lblk b;
       tr t.ctx (fun () ->
           Printf.sprintf "sd%d read done lblk %d; write via callout head"
             t.sd_id lblk);
       match p.fp_sink with
-      | To_file _ when Cache.max_cluster t.ctx.cache > 1 ->
+      | Endpoint.Dst_file _ when Cache.max_cluster t.ctx.cache > 1 ->
         (* Clustered write staging: batch the blocks completing in this
            event; one callout drains them, coalescing dst-contiguous
            runs into single writes. The pending-write slot is taken when
@@ -363,8 +359,7 @@ and[@kpath.intr] read_done t (p : file_pump) lblk (b : Buf.t) =
         p.peak_writes <- max p.peak_writes p.fp_writes;
         ignore
           (Callout.schedule_head t.ctx.callout (fun () ->
-               write_start t p lblk b))
-    end
+               write_start t p [ (lblk, b) ])))
 
 (* Drain the clustered-write staging batch: runs that are consecutive
    both logically and on the destination device (split at physical
@@ -374,9 +369,6 @@ and[@kpath.intr] flush_writes t (p : file_pump) =
   (* [wq] is kept sorted descending by [wq_insert]. *)
   let batch = List.rev p.wq in
   p.wq <- [];
-  let dst_map =
-    match p.fp_sink with To_file { dst_map; _ } -> dst_map | _ -> assert false
-  in
   let mc = Cache.max_cluster t.ctx.cache in
   let rec go = function
     | [] -> ()
@@ -384,77 +376,91 @@ and[@kpath.intr] flush_writes t (p : file_pump) =
       let rec grab acc k prev rest =
         match rest with
         | ((l, _) as e) :: tl
-          when k < mc && l = prev + 1 && dst_map.(l) = dst_map.(prev) + 1 ->
+          when k < mc && l = prev + 1 && p.dst_map.(l) = p.dst_map.(prev) + 1
+          ->
           grab (e :: acc) (k + 1) l tl
         | _ -> (List.rev acc, rest)
       in
       let run, rest = grab [ hd ] 1 lblk rest in
       p.fp_writes <- p.fp_writes + 1;
       p.peak_writes <- max p.peak_writes p.fp_writes;
-      (match run with
-       | [ (l, b) ] -> write_start t p l b
-       | _ -> write_cluster t p run);
+      write_start t p run;
       go rest
   in
   go batch
 
-(* Clustered write: the members' data areas ride one header transfer
-   (the splice analog of cluster_wbuild), so the destination device
-   raises a single completion interrupt for the run. *)
-and[@kpath.intr] write_cluster t (p : file_pump) run =
+(* Write side: runs from the callout list with a run of locked buffers
+   of valid data (§5.4) — one block, or for a file sink a run that is
+   contiguous on the destination. A run that arrives after an abort is
+   settled without a write: it pays this one handler activation and no
+   completion. *)
+and[@kpath.intr] write_start t (p : file_pump) run =
   charge t;
-  if t.st <> Running then begin
-    p.fp_writes <- p.fp_writes - 1;
-    List.iter
-      (fun (lblk, _) ->
-        match Hashtbl.find_opt p.inflight lblk with
-        | Some src_buf ->
-          Hashtbl.remove p.inflight lblk;
-          Cache.brelse t.ctx.cache src_buf
-        | None -> ())
-      run;
-    complete_if_done t p
-  end
+  if t.st <> Running then settle_run t p run None
   else
+    let lblk, (src_buf : Buf.t) = List.hd run in
+    let k = List.length run in
+    Stats.add (Stats.counter t.ctx.stats "splice.writes_issued") k;
     match p.fp_sink with
-    | To_file { dst_fs; dst_map } ->
-      let lblk0 = fst (List.hd run) in
-      let k = List.length run in
-      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev dst_fs) dst_map.(lblk0) in
-      hdr.Buf.b_data <-
-        Bytes.concat Bytes.empty
-          (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
+    | Endpoint.Dst_file { fs; _ } ->
+      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) p.dst_map.(lblk) in
+      (* One block shares the read-side buffer's data area: no copy. A
+         cluster's members ride one header transfer (the splice analog of
+         cluster_wbuild), so the destination device raises a single
+         completion interrupt for the run. *)
+      if k = 1 then hdr.Buf.b_data <- src_buf.Buf.b_data
+      else begin
+        hdr.Buf.b_data <-
+          Bytes.concat Bytes.empty
+            (List.map (fun (_, (b : Buf.t)) -> b.Buf.b_data) run);
+        count t.ctx "splice.cluster_writes";
+        tr t.ctx (fun () ->
+            Printf.sprintf "sd%d clustered write lblk %s -> phys %d" t.sd_id
+              (run_span run) p.dst_map.(lblk))
+      end;
       hdr.Buf.b_bcount <- k * t.block_size;
-      hdr.Buf.b_lblkno <- lblk0;
+      hdr.Buf.b_lblkno <- lblk;
       hdr.Buf.b_splice <- t.sd_id;
-      List.iter (fun _ -> count t.ctx "splice.writes_issued") run;
-      count t.ctx "splice.cluster_writes";
-      tr t.ctx (fun () ->
-          Printf.sprintf "sd%d clustered write lblk %d..%d -> phys %d" t.sd_id
-            lblk0 (lblk0 + k - 1) dst_map.(lblk0));
       Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-          cluster_write_done t p run (Some hb))
-    | To_chardev _ | To_socket _ | To_tcp _ -> assert false
+          write_done t p run (Some hb))
+    | Endpoint.Dst_chardev cd ->
+      Chardev.write_async cd src_buf.Buf.b_data 0 (bytes_for t lblk) (fun () ->
+          write_done t p run None)
+    | Endpoint.Dst_socket { sock; dst } ->
+      (* Datagram per block; the payload references the cache buffer's
+         bytes via an mbuf-style loan (no CPU copy is charged). *)
+      let payload = Bytes.sub src_buf.Buf.b_data 0 (bytes_for t lblk) in
+      Udp.sendto sock ~dst payload;
+      write_done t p run None
+    | Endpoint.Dst_tcp conn -> (
+      (* The stream applies back-pressure: completion fires when the
+         block has been accepted into the send buffer, i.e. when the
+         peer's window has admitted it. *)
+      try
+        Tcp.send_async conn src_buf.Buf.b_data ~pos:0 ~len:(bytes_for t lblk)
+          (fun () -> write_done t p run None)
+      with Invalid_argument msg ->
+        settle_run t p run (Some ("tcp sink: " ^ msg)))
 
-(* Completion of a clustered write: one handler activation, then
-   per-block accounting (bytes moved, latency samples) and a single
-   flow-control step for the whole run. *)
-and[@kpath.intr] cluster_write_done t (p : file_pump) run hdr =
+(* Write handler: invoked at write completion (§5.4), once per run:
+   one handler activation, then free the header just written and settle
+   the run. *)
+and[@kpath.intr] write_done t (p : file_pump) run hdr =
   charge t;
   let write_error =
     match hdr with
     | Some (hb : Buf.t) ->
-      let e =
-        if Buf.has hb Buf.b_error_flag then
-          match hb.Buf.b_error with
-          | Some (Blkdev.Io_error m) -> Some m
-          | None -> Some "write error"
-        else None
-      in
+      let e = Buf.error hb in
       Cache.release_hdr t.ctx.cache hb;
       e
     | None -> None
   in
+  settle_run t p run write_error
+
+(* Retire a run's write slot and free its source buffers, then account
+   every block (bytes moved, latency samples) and apply flow control
+   (§5.5) once for the run. *)
+and[@kpath.intr] settle_run t (p : file_pump) run write_error =
   p.fp_writes <- p.fp_writes - 1;
   List.iter
     (fun (lblk, _) ->
@@ -480,102 +486,9 @@ and[@kpath.intr] cluster_write_done t (p : file_pump) run hdr =
         | None -> ())
       run;
     tr t.ctx (fun () ->
-        Printf.sprintf "sd%d clustered write done lblk %d..%d (%d/%d bytes)"
-          t.sd_id (fst (List.hd run))
-          (fst (List.hd run) + List.length run - 1)
-          t.moved t.total);
-    if t.moved >= t.total then complete_if_done t p
-    else begin
-      let burst =
-        Flowctl.reads_to_issue t.config ~pending_reads:p.fp_reads
-          ~pending_writes:p.fp_writes
-      in
-      issue_reads t p burst;
-      if drained p && p.next_read < p.nblocks then issue_reads t p 1
-    end
-  | (Aborted _ | Completed), _ -> complete_if_done t p
-
-(* Write side: runs from the callout list with a locked buffer of valid
-   data (§5.4). *)
-and[@kpath.intr] write_start t (p : file_pump) lblk (src_buf : Buf.t) =
-  charge t;
-  if t.st <> Running then write_done t p lblk None
-  else
-    match p.fp_sink with
-    | To_file { dst_fs; dst_map } ->
-      let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev dst_fs) dst_map.(lblk) in
-      (* Share the data area with the read-side buffer: no copy. *)
-      hdr.Buf.b_data <- src_buf.Buf.b_data;
-      hdr.Buf.b_bcount <- t.block_size;
-      hdr.Buf.b_lblkno <- lblk;
-      hdr.Buf.b_splice <- t.sd_id;
-      count t.ctx "splice.writes_issued";
-      Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
-          write_done t p lblk (Some hb))
-    | To_chardev cd ->
-      count t.ctx "splice.writes_issued";
-      Chardev.write_async cd src_buf.Buf.b_data 0 (bytes_for t lblk) (fun () ->
-          write_done t p lblk None)
-    | To_socket { sock; dst } ->
-      (* Datagram per block; the payload references the cache buffer's
-         bytes via an mbuf-style loan (no CPU copy is charged). *)
-      count t.ctx "splice.writes_issued";
-      let payload = Bytes.sub src_buf.Buf.b_data 0 (bytes_for t lblk) in
-      Udp.sendto sock ~dst payload;
-      write_done t p lblk None
-    | To_tcp conn ->
-      (* The stream applies back-pressure: completion fires when the
-         block has been accepted into the send buffer, i.e. when the
-         peer's window has admitted it. *)
-      count t.ctx "splice.writes_issued";
-      (try
-         Tcp.send_async conn src_buf.Buf.b_data ~pos:0 ~len:(bytes_for t lblk)
-           (fun () -> write_done t p lblk None)
-       with Invalid_argument msg ->
-         p.fp_writes <- p.fp_writes - 1;
-         Hashtbl.remove p.inflight lblk;
-         Cache.brelse t.ctx.cache src_buf;
-         abort_pump t p ("tcp sink: " ^ msg))
-
-(* Write handler: invoked at write completion (§5.4): free the source
-   buffer, free the header just written, account, and apply flow control
-   (§5.5). *)
-and[@kpath.intr] write_done t (p : file_pump) lblk hdr =
-  charge t;
-  p.fp_writes <- p.fp_writes - 1;
-  let write_error =
-    match hdr with
-    | Some (hb : Buf.t) ->
-      let e =
-        if Buf.has hb Buf.b_error_flag then
-          match hb.Buf.b_error with
-          | Some (Blkdev.Io_error m) -> Some m
-          | None -> Some "write error"
-        else None
-      in
-      Cache.release_hdr t.ctx.cache hb;
-      e
-    | None -> None
-  in
-  (match Hashtbl.find_opt p.inflight lblk with
-   | Some src_buf ->
-     Hashtbl.remove p.inflight lblk;
-     Cache.brelse t.ctx.cache src_buf
-   | None -> ());
-  match (t.st, write_error) with
-  | Running, Some reason -> abort_pump t p reason
-  | Running, None ->
-    t.moved <- t.moved + bytes_for t lblk;
-    (match Hashtbl.find_opt p.issue_times lblk with
-     | Some issued ->
-       Hashtbl.remove p.issue_times lblk;
-       Histogram.add
-         (Stats.histogram t.ctx.stats "splice.block_latency_us")
-         (int_of_float (Time.to_us_f (Time.diff (Engine.now t.ctx.engine) issued)))
-     | None -> ());
-    tr t.ctx (fun () ->
-        Printf.sprintf "sd%d write done lblk %d (%d/%d bytes)" t.sd_id lblk
-          t.moved t.total);
+        Printf.sprintf "sd%d %swrite done lblk %s (%d/%d bytes)" t.sd_id
+          (match run with [ _ ] -> "" | _ -> "clustered ")
+          (run_span run) t.moved t.total);
     if t.moved >= t.total then complete_if_done t p
     else begin
       let burst =
@@ -614,20 +527,6 @@ let release t =
 
 (* {1 Setup} *)
 
-let resolve_file_size (ino : Inode.t) ~off_blocks ~block_size ~size =
-  let avail = ino.Inode.size - (off_blocks * block_size) in
-  if size = eof then max 0 avail
-  else if size < 0 then invalid_arg "Splice.start: negative size"
-  else min size (max 0 avail)
-
-(* Build the source physical-block table by successive bmap calls
-   (§5.2). Sparse sources are rejected. *)
-let build_src_map fs (ino : Inode.t) ~off_blocks ~nblocks =
-  Array.init nblocks (fun i ->
-      match Fs.bmap fs ino (off_blocks + i) with
-      | Some phys -> phys
-      | None -> Fs_error.raise_err (Fs_error.Einval "splice: sparse source"))
-
 let make_desc ctx ~config ~total ~block_size kind =
   let sd_id = ctx.next_id in
   ctx.next_id <- sd_id + 1;
@@ -648,38 +547,26 @@ let make_desc ctx ~config ~total ~block_size kind =
 
 let start_file_pump ctx ~config ~src_fs ~src_ino ~src_off ~sink ~size =
   let block_size = Fs.block_size src_fs in
-  let total = resolve_file_size src_ino ~off_blocks:src_off ~block_size ~size in
+  let total = Fs.range_bytes src_fs src_ino ~off_blocks:src_off ~size in
   let nblocks = (total + block_size - 1) / block_size in
-  let src_map = build_src_map src_fs src_ino ~off_blocks:src_off ~nblocks in
-  let fp_sink =
+  let src_map = Fs.src_map src_fs src_ino ~off_blocks:src_off ~nblocks in
+  Endpoint.check_sink ~block_size sink;
+  let dst_map =
     match sink with
     | Endpoint.Dst_file { fs = dst_fs; ino = dst_ino; off_blocks } ->
-      if Fs.block_size dst_fs <> block_size then
-        invalid_arg "Splice.start: mismatched block sizes";
-      (* Copying a file onto an overlapping range of itself would read
-         blocks the splice is concurrently overwriting. *)
-      if
-        dst_fs == src_fs
-        && dst_ino.Inode.ino = src_ino.Inode.ino
-        && src_off < off_blocks + nblocks
-        && off_blocks < src_off + nblocks
-      then
-        Fs_error.raise_err
-          (Fs_error.Einval "splice: source and destination ranges overlap");
-      let dst_map = Fs.alloc_dst_map dst_fs dst_ino ~off_blocks ~nblocks ~total in
-      To_file { dst_fs; dst_map }
-    | Endpoint.Dst_chardev cd -> To_chardev cd
-    | Endpoint.Dst_socket { sock; dst } ->
-      if block_size > 8192 then
-        invalid_arg "Splice.start: block size exceeds datagram limit";
-      To_socket { sock; dst }
-    | Endpoint.Dst_tcp conn -> To_tcp conn
+      Fs.check_disjoint
+        (src_fs, src_ino, src_off, nblocks)
+        (dst_fs, dst_ino, off_blocks, nblocks);
+      Fs.alloc_dst_map dst_fs dst_ino ~off_blocks ~nblocks ~total
+    | Endpoint.Dst_chardev _ | Endpoint.Dst_socket _ | Endpoint.Dst_tcp _ ->
+      [||]
   in
   let pump =
     {
       src_fs;
       src_map;
-      fp_sink;
+      fp_sink = sink;
+      dst_map;
       nblocks;
       next_read = 0;
       fp_reads = 0;
@@ -798,26 +685,20 @@ let[@kpath.intr] stream_flush_block t (p : stream_pump) =
   Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
       charge t;
       p.sp_writes <- p.sp_writes - 1;
-      let failed = Buf.has hb Buf.b_error_flag in
-      let reason =
-        match hb.Buf.b_error with
-        | Some (Blkdev.Io_error m) -> m
-        | None -> "write error"
-      in
+      let write_error = Buf.error hb in
       Cache.release_hdr t.ctx.cache hb;
       match t.st with
-      | Running ->
-        if failed then begin
+      | Running -> (
+        match write_error with
+        | Some reason ->
           t.st <- Aborted reason;
           if p.sp_writes = 0 then finalize t
-        end
-        else begin
+        | None ->
           t.moved <- t.moved + written;
           if t.moved >= t.total then begin
             t.st <- Completed;
             finalize t
-          end
-        end
+          end)
       | Aborted _ -> if p.sp_writes = 0 then finalize t
       | Completed -> ())
 

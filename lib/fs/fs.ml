@@ -56,8 +56,8 @@ let with_ilock ino f =
 
 let[@kpath.transfers] bread_checked t blkno =
   let b = Cache.bread t.cache t.dev blkno in
-  match b.Buf.b_error with
-  | Some (Blkdev.Io_error msg) ->
+  match Buf.error b with
+  | Some msg ->
     Cache.brelse t.cache b;
     err (Fs_error.Eio msg)
   | None -> b
@@ -207,6 +207,22 @@ let bmap_alloc t (ino : Inode.t) lblk ~zero =
     end
   end
 
+let range_bytes t (ino : Inode.t) ~off_blocks ~size =
+  if size < -1 then invalid_arg "Fs.range_bytes: negative size";
+  let avail = max 0 (ino.size - (off_blocks * block_size t)) in
+  if size = -1 then avail else min size avail
+
+let src_map t (ino : Inode.t) ~off_blocks ~nblocks =
+  Array.init nblocks (fun i ->
+      match bmap t ino (off_blocks + i) with
+      | Some phys -> phys
+      | None -> err (Fs_error.Einval "splice: sparse source"))
+
+let check_disjoint (fa, (ia : Inode.t), off_a, na)
+    (fb, (ib : Inode.t), off_b, nb) =
+  if fa == fb && ia.ino = ib.ino && off_a < off_b + nb && off_b < off_a + na
+  then err (Fs_error.Einval "splice: source and destination ranges overlap")
+
 let alloc_dst_map t (ino : Inode.t) ~off_blocks ~nblocks ~total =
   let map =
     Array.init nblocks (fun i -> bmap_alloc t ino (off_blocks + i) ~zero:false)
@@ -261,8 +277,8 @@ let read t (ino : Inode.t) ~off ~len dst ~pos =
                if ahead >= 0 then Cache.breada t.cache t.dev phys ~ahead
                else bread_checked t phys
              in
-             (match b.Buf.b_error with
-              | Some (Blkdev.Io_error msg) ->
+             (match Buf.error b with
+              | Some msg ->
                 Cache.brelse t.cache b;
                 err (Fs_error.Eio msg)
               | None -> ());

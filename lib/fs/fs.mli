@@ -115,6 +115,26 @@ val bmap_alloc : t -> Inode.t -> int -> zero:bool -> int
     path); with [~zero:false] they are handed over raw for a caller that
     will overwrite them entirely (the splice destination path). *)
 
+val range_bytes : t -> Inode.t -> off_blocks:int -> size:int -> int
+(** Bytes a splice or graph file source streams: [size] bytes from
+    block [off_blocks], or everything to end of file when [size] is
+    [-1], clipped at end of file either way. Raises [Invalid_argument]
+    for a size below [-1]. *)
+
+val src_map : t -> Inode.t -> off_blocks:int -> nblocks:int -> int array
+(** The physical-block table of a splice or graph source (§5.2): logical
+    blocks [off_blocks .. off_blocks+nblocks-1] through [bmap]. A hole
+    raises [Fs_error.Error (Einval "splice: sparse source")]. Process
+    context. *)
+
+val check_disjoint : t * Inode.t * int * int -> t * Inode.t * int * int -> unit
+(** [check_disjoint (fs, ino, off, n) (fs', ino', off', n')] rejects a
+    source block range and a destination block range of the same file
+    that overlap — a copy onto itself would read blocks it is
+    concurrently overwriting — with
+    [Fs_error.Error (Einval "splice: source and destination ranges
+    overlap")]. *)
+
 val alloc_dst_map :
   t -> Inode.t -> off_blocks:int -> nblocks:int -> total:int -> int array
 (** The physical-block table of a splice or graph destination (§5.2):

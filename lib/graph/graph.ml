@@ -65,10 +65,7 @@ let count ctx name = Stats.incr (Stats.counter ctx.stats name)
 type state = Running | Completed | Aborted of string
 
 type sink_spec =
-  | Sink_file of { fs : Fs.t; ino : Inode.t; off_blocks : int }
-  | Sink_chardev of Chardev.t
-  | Sink_udp of { sock : Udp.t; dst : Udp.addr }
-  | Sink_tcp of Tcp.conn
+  | Sink of Endpoint.sink
   | Sink_fn of (lblk:int -> data:bytes -> len:int -> unit)
 
 type filter =
@@ -290,7 +287,7 @@ let add_file_source t ~fs ~ino ?(off_blocks = 0) ?(size = -1) () =
 let add_sink t spec =
   if t.started then invalid_arg "Graph.add_sink: graph already started";
   (match spec with
-   | Sink_file { off_blocks; _ } when off_blocks < 0 ->
+   | Sink (Endpoint.Dst_file { off_blocks; _ }) when off_blocks < 0 ->
      invalid_arg "Graph.add_sink: negative offset"
    | _ -> ());
   let sk = { sk_id = t.ctx.next_node; sk_spec = spec; sk_edges = []; sk_map = [||] } in
@@ -610,21 +607,15 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
     complete_check t
   | Completed -> assert false
   | Running ->
-    if Buf.has b Buf.b_error_flag then begin
-      let reason =
-        match b.Buf.b_error with
-        | Some (Blkdev.Io_error m) -> m
-        | None -> "read error"
-      in
+    match Buf.error b with
+    | Some reason ->
       Cache.brelse t.ctx.cache b;
       abort t ~reason
-    end
-    else if Array.length live = 0 then begin
+    | None when Array.length live = 0 ->
       (* Every consumer died while the read was in flight. *)
       Cache.brelse t.ctx.cache b;
       complete_check t
-    end
-    else begin
+    | None ->
       let blk =
         {
           blk_lblk = lblk;
@@ -654,7 +645,6 @@ and[@kpath.intr] read_done t (sn : source) ~live lblk (b : Buf.t) =
             (Callout.schedule_head t.ctx.callout (fun () ->
                  edge_write_start t e blk)))
         live
-    end
 
 (* Per-edge write side: runs from the callout list against the shared,
    pinned buffer. The filter pipeline is applied first; each stage may
@@ -753,7 +743,7 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
   let lblk = blk.blk_lblk in
   count t.ctx "graph.writes_issued";
   match via.e_sink.sk_spec with
-  | Sink_file { fs; _ } ->
+  | Sink (Endpoint.Dst_file { fs; _ }) ->
     let phys = via.e_sink.sk_map.(via.e_dst_base + lblk) in
     let hdr = Cache.getblk_hdr t.ctx.cache (Fs.dev fs) phys in
     (* Share the data area with the payload buffer: no copy. *)
@@ -762,14 +752,14 @@ and[@kpath.intr] edge_sink_write t (e : edge) ~via ~data (blk : block) =
     hdr.Buf.b_lblkno <- lblk;
     Cache.awrite_call t.ctx.cache hdr ~iodone:(fun hb ->
         edge_write_done t e blk (Some hb))
-  | Sink_chardev cd ->
+  | Sink (Endpoint.Dst_chardev cd) ->
     Chardev.write_async cd data 0 blk.blk_bytes (fun () ->
         edge_write_done t e blk None)
-  | Sink_udp { sock; dst } ->
+  | Sink (Endpoint.Dst_socket { sock; dst }) ->
     let payload = Bytes.sub data 0 blk.blk_bytes in
     Udp.sendto sock ~dst payload;
     edge_write_done t e blk None
-  | Sink_tcp conn -> (
+  | Sink (Endpoint.Dst_tcp conn) -> (
     (* The stream applies backpressure: completion fires when the block
        has been accepted into the send buffer. *)
     try
@@ -806,13 +796,7 @@ and[@kpath.intr] edge_write_done t (e : edge) (blk : block) hdr =
   let write_error =
     match hdr with
     | Some (hb : Buf.t) ->
-      let err =
-        if Buf.has hb Buf.b_error_flag then
-          match hb.Buf.b_error with
-          | Some (Blkdev.Io_error m) -> Some m
-          | None -> Some "write error"
-        else None
-      in
+      let err = Buf.error hb in
       Cache.release_hdr t.ctx.cache hb;
       err
     | None -> None
@@ -912,20 +896,6 @@ let abort_edge t e ~reason =
 
 (* {1 Setup} *)
 
-let resolve_size (sn : source) ~block_size =
-  let avail = sn.sn_ino.Inode.size - (sn.sn_off * block_size) in
-  if sn.sn_size_req < 0 then max 0 avail
-  else min sn.sn_size_req (max 0 avail)
-
-let build_src_map (sn : source) =
-  Array.init sn.sn_nblocks (fun i ->
-      match Fs.bmap sn.sn_fs sn.sn_ino (sn.sn_off + i) with
-      | Some phys -> phys
-      | None -> Fs_error.raise_err (Fs_error.Einval "graph: sparse source"))
-
-let ranges_overlap a_lo a_len b_lo b_len =
-  a_lo < b_lo + b_len && b_lo < a_lo + a_len
-
 let validate_and_build t =
   let sources = List.rev t.g_sources in
   (match sources with
@@ -952,27 +922,26 @@ let validate_and_build t =
   List.iter
     (fun sk ->
       match sk.sk_spec with
-      | Sink_file { fs; _ } ->
-        if Fs.block_size fs <> block_size then
-          invalid_arg "Graph.start: mismatched block sizes"
-      | Sink_udp _ ->
-        if block_size > 8192 then
-          invalid_arg "Graph.start: block size exceeds datagram limit"
-      | Sink_chardev _ | Sink_tcp _ | Sink_fn _ -> ())
+      | Sink sink -> Endpoint.check_sink ~block_size sink
+      | Sink_fn _ -> ())
     (List.rev t.g_sinks);
   (* Resolve source sizes and build their physical block tables. *)
   List.iter
     (fun sn ->
-      sn.sn_total <- resolve_size sn ~block_size;
+      sn.sn_total <-
+        Fs.range_bytes sn.sn_fs sn.sn_ino ~off_blocks:sn.sn_off
+          ~size:sn.sn_size_req;
       sn.sn_nblocks <- (sn.sn_total + block_size - 1) / block_size;
-      sn.sn_map <- build_src_map sn)
+      sn.sn_map <-
+        Fs.src_map sn.sn_fs sn.sn_ino ~off_blocks:sn.sn_off
+          ~nblocks:sn.sn_nblocks)
     sources;
   (* Fan-in layout and sink block tables. *)
   List.iter
     (fun sk ->
       match (sk.sk_spec, sk.sk_edges) with
       | _, [] -> invalid_arg "Graph.start: sink with no incoming edge"
-      | Sink_file { fs; ino; off_blocks }, es ->
+      | Sink (Endpoint.Dst_file { fs; ino; off_blocks }), es ->
         (* Incoming edges concatenate at block granularity: every
            contributor but the last must be a block multiple. *)
         let rec assign base = function
@@ -989,23 +958,15 @@ let validate_and_build t =
         let total =
           List.fold_left (fun acc e -> acc + e.e_src.sn_total) 0 es
         in
-        (* Writing onto a range a source is concurrently reading would
-           corrupt the shared buffers. *)
         List.iter
           (fun sn ->
-            if
-              sn.sn_fs == fs
-              && sn.sn_ino.Inode.ino = ino.Inode.ino
-              && ranges_overlap sn.sn_off sn.sn_nblocks off_blocks nblocks
-            then
-              Fs_error.raise_err
-                (Fs_error.Einval
-                   "graph: source and destination ranges overlap"))
+            Fs.check_disjoint
+              (sn.sn_fs, sn.sn_ino, sn.sn_off, sn.sn_nblocks)
+              (fs, ino, off_blocks, nblocks))
           sources;
         sk.sk_map <- Fs.alloc_dst_map fs ino ~off_blocks ~nblocks ~total
-      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _ | Sink_fn _), _ :: _ :: _ ->
-        invalid_arg "Graph.start: fan-in requires a file sink"
-      | (Sink_chardev _ | Sink_udp _ | Sink_tcp _ | Sink_fn _), [ _ ] -> ())
+      | _, _ :: _ :: _ -> invalid_arg "Graph.start: fan-in requires a file sink"
+      | _, [ _ ] -> ())
     (List.rev t.g_sinks);
   sources
 

@@ -31,10 +31,8 @@
     maps and primes the reads, then returns. *)
 
 open Kpath_sim
-open Kpath_dev
 open Kpath_buf
 open Kpath_fs
-open Kpath_net
 
 type ctx
 (** Shared graph machinery: buffer cache, callout list, CPU-interrupt
@@ -91,16 +89,15 @@ type edge
 type state = Running | Completed | Aborted of string
 
 type sink_spec =
-  | Sink_file of { fs : Fs.t; ino : Inode.t; off_blocks : int }
-      (** written starting at a block-aligned offset; the only sink kind
-          that accepts more than one incoming edge (fan-in) *)
-  | Sink_chardev of Chardev.t
-  | Sink_udp of { sock : Udp.t; dst : Udp.addr }
-  | Sink_tcp of Tcp.conn
-      (** blocks shipped straight off the shared read buffer are
-          snapshotted once into a refcounted payload and streamed
-          zero-copy ({!Tcp.send_view}) — a block fanned out to a
-          million connections is stored once *)
+  | Sink of Kpath_core.Endpoint.sink
+      (** a splice endpoint (§5.1), written as {!Kpath_core.Splice}
+          writes it. A file ([Dst_file]) is written from its
+          block-aligned offset and is the only sink that accepts more
+          than one incoming edge (fan-in). A TCP stream ([Dst_tcp]) is
+          fed blocks shipped straight off the shared read buffer
+          through a refcounted payload snapshotted once and streamed
+          zero-copy ({!Kpath_net.Tcp.send_view}) — a block fanned out
+          to a million connections is stored once. *)
   | Sink_fn of (lblk:int -> data:bytes -> len:int -> unit)
       (** capture sink: each block is handed to the callback
           synchronously ([data] is the shared buffer, valid only during
@@ -142,8 +139,10 @@ val create : ctx -> ?window:int -> unit -> t
 
 val add_file_source :
   t -> fs:Fs.t -> ino:Inode.t -> ?off_blocks:int -> ?size:int -> unit -> node
-(** Add a file source streaming [size] bytes (default: to end of file)
-    from the block-aligned offset [off_blocks] (default 0). *)
+(** Add a file source streaming [size] bytes (default [-1]: to end of
+    file) from the block-aligned offset [off_blocks] (default 0); the
+    size is resolved at {!start} by {!Kpath_fs.Fs.range_bytes}, like a
+    splice's. *)
 
 val add_sink : t -> sink_spec -> node
 
@@ -176,8 +175,11 @@ val start : t -> unit
     - source ranges must not overlap file-sink ranges of the same file;
     - UDP sinks require the block size to fit in a datagram.
 
-    Sparse sources raise [Fs_error.Error (Einval _)]; destination
-    allocation may raise [Fs_error.Error Enospc]. *)
+    A source size below [-1] raises [Invalid_argument]. Sparse sources
+    and overlapping ranges raise [Fs_error.Error (Einval _)] (the
+    splice rules, {!Kpath_fs.Fs.src_map} and
+    {!Kpath_fs.Fs.check_disjoint}); destination allocation may raise
+    [Fs_error.Error Enospc]. *)
 
 val state : t -> state
 

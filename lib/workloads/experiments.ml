@@ -58,7 +58,7 @@ let make_setup ~disk ?(file_bytes = 8 * 1024 * 1024) ?(same_disk = false)
   if not !setup_done then failwith "experiment setup failed";
   let writer_done = ref false in
   let writer =
-    Programs.spawn_file_writer m ~path:"/src/data" ~bytes:file_bytes ()
+    Programs.spawn_file_writer m ~path:"/src/data" ~bytes:file_bytes
   in
   Sched.exit_hook writer (fun () -> writer_done := true);
   Machine.run m;
@@ -350,25 +350,9 @@ let measure_media ~player ?(load = 0) ?(seconds = 5) ?(fps = 15) () =
         in
         Machine.mount m "/" fs;
         let env = Syscall.make_env m in
-        let make path bytes =
-          let fd =
-            Syscall.openf env path [ Syscall.O_CREAT; Syscall.O_WRONLY ]
-          in
-          let chunk = Bytes.create 65536 in
-          let rec go off =
-            if off < bytes then begin
-              let n = min 65536 (bytes - off) in
-              Programs.fill_pattern chunk ~file_off:off;
-              ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-              go (off + n)
-            end
-          in
-          go 0;
-          Syscall.fsync env fd;
-          Syscall.close env fd
-        in
-        make "/movie.audio" audio_bytes;
-        make "/movie.video" (nframes * frame_bytes))
+        Programs.write_pattern_file env ~path:"/movie.audio" ~bytes:audio_bytes;
+        Programs.write_pattern_file env ~path:"/movie.video"
+          ~bytes:(nframes * frame_bytes))
   in
   Machine.run m;
   Cache.invalidate_dev (Machine.cache m) (Machine.blkdev drive);
@@ -505,19 +489,7 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
         in
         Machine.mount server "/" fs;
         let env = Syscall.make_env server in
-        let fd = Syscall.openf env "/data" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
-        let chunk = Bytes.create 65536 in
-        let rec fill off =
-          if off < file_bytes then begin
-            let n = min 65536 (file_bytes - off) in
-            Programs.fill_pattern chunk ~file_off:off;
-            ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-            fill (off + n)
-          end
-        in
-        fill 0;
-        Syscall.fsync env fd;
-        Syscall.close env fd;
+        Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
         Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
         let l = Syscall.tcp_listen env srv_if ~port:80 in
         let cfd = Syscall.tcp_accept env l in
@@ -630,6 +602,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
   let device_reads = ref 0 in
   let pinned_after = ref 0 in
   let prog_runs = ref 0 and prog_insns = ref 0 in
+  let no_handshake = ref false in
   (* Server: produce the file cold, accept every client, then stream the
      file to all of them with one splice graph — one disk pass. *)
   let _srv =
@@ -640,19 +613,7 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
         in
         Machine.mount server "/" fs;
         let env = Syscall.make_env server in
-        let fd = Syscall.openf env "/data" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
-        let chunk = Bytes.create 65536 in
-        let rec fill off =
-          if off < file_bytes then begin
-            let n = min 65536 (file_bytes - off) in
-            Programs.fill_pattern chunk ~file_off:off;
-            ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-            fill (off + n)
-          end
-        in
-        fill 0;
-        Syscall.fsync env fd;
-        Syscall.close env fd;
+        Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
         Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
         let l = Syscall.tcp_listen env srv_if ~port:80 in
         let cfds = List.init clients (fun _ -> Syscall.tcp_accept env l) in
@@ -682,40 +643,41 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
           Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu_mark)
   in
   (* Clients: one reader process per connection on the client machine,
-     each draining and verifying its own copy of the pattern. *)
+     each connecting once (SYN retransmission covers the server's
+     set-up time), then draining and verifying its own copy of the
+     pattern. *)
   for i = 0 to clients - 1 do
     ignore
       (Machine.spawn client ~name:(Printf.sprintf "client%d" i) (fun () ->
            let env = Syscall.make_env client in
-           let rec try_connect attempts =
-             match
-               Syscall.tcp_connect env cli_if ~port:(1000 + i)
-                 ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
-                 ~rcvbuf:(512 * 1024) ()
-             with
-             | fd -> fd
-             | exception Errno.Unix_error (Errno.EIO, _) when attempts > 0 ->
-               try_connect (attempts - 1)
-           in
-           let fd = try_connect 5 in
-           let buf = Bytes.create 8192 in
-           let rec drain () =
-             let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
-             if n > 0 then begin
-               corrupt :=
-                 !corrupt
-                 + Programs.pattern_mismatches buf ~pos:0 ~len:n
-                     ~file_off:received.(i);
-               received.(i) <- received.(i) + n;
-               if Time.(Engine.now engine > !finished) then
-                 finished := Engine.now engine;
-               drain ()
-             end
-           in
-           drain ();
-           Syscall.close env fd))
+           match
+             Syscall.tcp_connect env cli_if ~port:(1000 + i)
+               ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
+               ~rcvbuf:(512 * 1024) ()
+           with
+           | exception Errno.Unix_error (Errno.EIO, _) -> no_handshake := true
+           | fd ->
+             let buf = Bytes.create 8192 in
+             let rec drain () =
+               let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
+               if n > 0 then begin
+                 corrupt :=
+                   !corrupt
+                   + Programs.pattern_mismatches buf ~pos:0 ~len:n
+                       ~file_off:received.(i);
+                 received.(i) <- received.(i) + n;
+                 if Time.(Engine.now engine > !finished) then
+                   finished := Engine.now engine;
+                 drain ()
+               end
+             in
+             drain ();
+             Syscall.close env fd))
   done;
-  Machine.run server;
+  (* A client that never connected leaves the server asleep in accept,
+     which the scheduler reports as a deadlock. *)
+  (try Machine.run server with Sched.Deadlock _ when !no_handshake -> ());
+  if !no_handshake then raise Handshake_failed;
   (match trace_json with
    | Some fmt -> Trace.dump_json fmt (Machine.trace server)
    | None -> ());
@@ -962,21 +924,7 @@ let stage_fanout_file ~machine_config ~file_bytes =
         in
         Machine.mount server "/" fs;
         let env = Syscall.make_env server in
-        let fd =
-          Syscall.openf env "/data" [ Syscall.O_CREAT; Syscall.O_WRONLY ]
-        in
-        let chunk = Bytes.create 65536 in
-        let rec fill off =
-          if off < file_bytes then begin
-            let n = min 65536 (file_bytes - off) in
-            Programs.fill_pattern chunk ~file_off:off;
-            ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
-            fill (off + n)
-          end
-        in
-        fill 0;
-        Syscall.fsync env fd;
-        Syscall.close env fd;
+        Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
         Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
         let fs, rel =
           match Machine.resolve server "/data" with
@@ -1095,13 +1043,10 @@ let deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us ~file_bytes
   (comp, !corrupt, !ncomp = n, Engine.events_fired engine,
    Cpu.busy (Sched.cpu (Machine.sched server)))
 
-let measure_fanout_sharded ?(clients = 64) ?domains
+let measure_fanout_sharded ?(clients = 64) ?(domains = 1)
     ?(file_bytes = 64 * 1024) ?(bandwidth = 2.5e6) ?(stagger_us = 1)
     ?(machine_config = Config.decstation_5000_200) () =
   if clients < 1 then invalid_arg "measure_fanout_sharded: clients < 1";
-  let domains =
-    match domains with Some d -> d | None -> machine_config.Config.sim_domains
-  in
   if domains < 1 then invalid_arg "measure_fanout_sharded: domains < 1";
   let shards = max 1 (min domains clients) in
   let outs =

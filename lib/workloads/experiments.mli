@@ -205,9 +205,11 @@ type sendfile_measure = {
 }
 
 exception Handshake_failed
-(** Raised by {!measure_sendfile} when frame loss keeps the client's
-    TCP handshake from completing before its connect times out: nothing
-    is served, so there is no throughput to report. *)
+(** Raised by {!measure_sendfile} and {!measure_fanout} when a client's
+    TCP handshake does not complete before its connect times out — frame
+    loss, or a server still writing a large file when the SYN retries
+    run out: that client is never served, so there is no throughput to
+    report. *)
 
 val measure_sendfile :
   mode:[ `ReadWrite | `Sendfile ] ->
@@ -266,7 +268,8 @@ val measure_fanout :
     [config]/[filters]/[window] pass through to the graph's edges.
     [trace_json] enables the server's ["graph"] trace category and dumps
     the recorded events to the formatter, one JSON object per line
-    ({!Kpath_sim.Trace.dump_json}), when the run finishes. *)
+    ({!Kpath_sim.Trace.dump_json}), when the run finishes. Raises
+    {!Handshake_failed} when a client cannot connect. *)
 
 (** {1 Filter-program overhead — interpreted edge programs vs built-ins} *)
 
@@ -365,9 +368,9 @@ val measure_fanout_sharded :
   fanout_shard_measure
 (** The million-client shape of {!measure_fanout}: one staging pass
     records the file's splice-graph delivery into refcounted block
-    payloads, then the client population (default 64; [domains] defaults
-    to the machine config's [sim_domains]) is partitioned into
-    contiguous slices, each delivered in its own sub-simulation —
+    payloads, then the client population (default 64) is partitioned into
+    contiguous slices, one per domain ([domains], default 1), each
+    delivered in its own sub-simulation —
     per-client interface and connection on a switched segment, both ends
     callback-driven (no process per client), every connection streaming
     the {e same} block payloads zero-copy. Client [c] starts at

@@ -57,24 +57,27 @@ let spawn_test_program m ~ops ?(op_cost = Time.ms 1) stats =
       done;
       stats.test_finished <- Some (Machine.now m))
 
-let spawn_file_writer m ~path ~bytes ?(chunk = 64 * 1024) () =
+let write_pattern_file env ~path ~bytes =
+  let fd =
+    Syscall.openf env path
+      [ Syscall.O_WRONLY; Syscall.O_CREAT; Syscall.O_TRUNC ]
+  in
+  let chunk = Bytes.create 65536 in
+  let rec go off =
+    if off < bytes then begin
+      let n = min 65536 (bytes - off) in
+      fill_pattern chunk ~file_off:off;
+      ignore (Syscall.write env fd chunk ~pos:0 ~len:n);
+      go (off + n)
+    end
+  in
+  go 0;
+  Syscall.fsync env fd;
+  Syscall.close env fd
+
+let spawn_file_writer m ~path ~bytes =
   Machine.spawn m ~name:"writer" (fun () ->
-      let env = Syscall.make_env m in
-      let fd =
-        Syscall.openf env path [ Syscall.O_WRONLY; Syscall.O_CREAT; Syscall.O_TRUNC ]
-      in
-      let buf = Bytes.create chunk in
-      let rec go off =
-        if off < bytes then begin
-          let n = min chunk (bytes - off) in
-          fill_pattern buf ~file_off:off;
-          ignore (Syscall.write env fd buf ~pos:0 ~len:n);
-          go (off + n)
-        end
-      in
-      go 0;
-      Syscall.fsync env fd;
-      Syscall.close env fd)
+      write_pattern_file (Syscall.make_env m) ~path ~bytes)
 
 (* A pacer keeps a copy at a fixed application data rate: after moving
    [total] bytes since [started], sleep until the target schedule

@@ -44,10 +44,13 @@ val spawn_test_program :
 (** The CPU-availability probe: performs [ops] compute operations of
     [op_cost] each (default 1 ms), recording completion time. *)
 
-val spawn_file_writer :
-  Machine.t -> path:string -> bytes:int -> ?chunk:int -> unit -> Process.t
+val write_pattern_file : Syscall.env -> path:string -> bytes:int -> unit
 (** Create (or truncate) a file and fill it with the pattern through
-    ordinary writes, then [fsync] — the experiment setup step. *)
+    ordinary 64 KB writes, then [fsync] and close it — the experiment
+    setup step. Process context. *)
+
+val spawn_file_writer : Machine.t -> path:string -> bytes:int -> Process.t
+(** {!write_pattern_file} in a process of its own. *)
 
 val spawn_cp :
   Machine.t ->

@@ -8,6 +8,7 @@ open Kpath_fs
 open Kpath_kernel
 open Kpath_workloads
 module Graph = Kpath_graph.Graph
+module Endpoint = Kpath_core.Endpoint
 module Vm = Kpath_vm.Vm
 module Samples = Kpath_vm.Samples
 
@@ -87,7 +88,7 @@ let test_fanout_to_files () =
         List.map
           (fun ino ->
             let dst =
-              Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+              Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
             in
             Graph.connect g ~src ~dst ())
           sinks
@@ -145,7 +146,7 @@ let test_fanin_concatenates () =
      log file; each edge owns a disjoint block range. *)
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
   let m = s.Experiments.machine in
-  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:40_000 () in
+  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:40_000 in
   Machine.run m;
   if not (Process.is_zombie w) then Alcotest.fail "writer stuck";
   Experiments.cold_caches s;
@@ -160,7 +161,7 @@ let test_fanin_concatenates () =
         let a = Graph.add_file_source g ~fs:a_fs ~ino:a_ino () in
         let b = Graph.add_file_source g ~fs:a_fs ~ino:b_ino () in
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = log; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs log ()))
         in
         ignore (Graph.connect g ~src:a ~dst ());
         ignore (Graph.connect g ~src:b ~dst ());
@@ -191,7 +192,7 @@ let test_fanin_requires_file_sink () =
       let g = Graph.create ctx () in
       let a = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let b = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Graph.Sink_chardev cd) in
+      let dst = Graph.add_sink g (Graph.Sink (Endpoint.Dst_chardev cd)) in
       ignore (Graph.connect g ~src:a ~dst ());
       ignore (Graph.connect g ~src:b ~dst ());
       Alcotest.check_raises "two edges into a chardev rejected"
@@ -220,7 +221,7 @@ let test_checksum_filter () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ~filters:[ Graph.Checksum ] ~src ~dst ()
       in
@@ -242,7 +243,7 @@ let test_tee_filter () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = c0; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs c0 ()))
       in
       ignore
         (Graph.connect g
@@ -278,10 +279,10 @@ let test_throttle_and_window () =
       let g = Graph.create ctx ~window:4 () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let fast_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = fast; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs fast ()))
       in
       let slow_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = slow; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs slow ()))
       in
       let ef = Graph.connect g ~src ~dst:fast_dst () in
       let es =
@@ -319,10 +320,10 @@ let test_abort_edge_midstream () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let keep_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = keep; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs keep ()))
       in
       let cut_dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = cut; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs cut ()))
       in
       let e_cut = ref None in
       let blocks_seen = ref 0 in
@@ -369,7 +370,7 @@ let test_abort_graph_midstream () =
       let blocks_seen = ref 0 in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -404,8 +405,8 @@ let test_out_of_order_release () =
       let a = Fs.create_file dfs "/a" and b = Fs.create_file dfs "/b" in
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let da = Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = a; off_blocks = 0 }) in
-      let db = Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = b; off_blocks = 0 }) in
+      let da = Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs a ())) in
+      let db = Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs b ())) in
       ignore (Graph.connect g ~src ~dst:da ());
       ignore (Graph.connect g ~filters:[ Graph.Throttle 100_000.0 ] ~src ~dst:db ());
       Graph.start g;
@@ -432,7 +433,7 @@ let test_chardev_sink () =
       in
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
-      let dst = Graph.add_sink g (Graph.Sink_chardev cd) in
+      let dst = Graph.add_sink g (Graph.Sink (Endpoint.Dst_chardev cd)) in
       ignore (Graph.connect g ~src ~dst ());
       Graph.start g;
       let total = ok_exn (Graph.wait g) in
@@ -455,7 +456,7 @@ let test_empty_source () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:empty () in
       let dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = c0; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs c0 ()))
       in
       let e = Graph.connect g ~src ~dst () in
       Graph.start g;
@@ -465,7 +466,7 @@ let test_empty_source () =
 let test_syscall_shapes () =
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
   let m = s.Experiments.machine in
-  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:(32 * 1024) () in
+  let w = Programs.spawn_file_writer m ~path:"/src/b" ~bytes:(32 * 1024) in
   Machine.run m;
   if not (Process.is_zombie w) then Alcotest.fail "writer stuck";
   Experiments.cold_caches s;
@@ -516,7 +517,7 @@ let test_trace_and_stats () =
       List.iter
         (fun ino ->
           let dst =
-            Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+            Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
           in
           ignore (Graph.connect g ~src ~dst ()))
         [ c0; c1 ];
@@ -558,7 +559,7 @@ let test_prog_checksum_bit_identical () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ~filters ~src ~dst ()
       in
@@ -595,7 +596,7 @@ let test_prog_drop_accounting () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -657,7 +658,7 @@ pass:
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -702,7 +703,7 @@ let test_prog_transform_cow () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk ?filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ?filters ~src ~dst ()
       in
@@ -742,7 +743,7 @@ let test_prog_redirect_routes_blocks () =
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let mk filters ino =
         let dst =
-          Graph.add_sink g (Graph.Sink_file { fs = dfs; ino; off_blocks = 0 })
+          Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs ino ()))
         in
         Graph.connect g ~filters ~src ~dst ()
       in
@@ -789,7 +790,7 @@ let test_prog_emits_and_readonly () =
       let g = Graph.create ctx () in
       let src = Graph.add_file_source g ~fs:src_fs ~ino:src_ino () in
       let dst =
-        Graph.add_sink g (Graph.Sink_file { fs = dfs; ino = c0; off_blocks = 0 })
+        Graph.add_sink g (Graph.Sink (Endpoint.dst_file dfs c0 ()))
       in
       let e =
         Graph.connect g ~filters:[ Graph.Prog (Samples.tee_hash ()) ] ~src ~dst ()

@@ -249,6 +249,47 @@ let test_splice_advances_offsets () =
       Alcotest.(check int) "second half" (16 * 1024) n2;
       Alcotest.(check int) "dst size" (32 * 1024) (Syscall.file_size env dfd))
 
+(* Setup CPU is charged per block the splice streams, so a size past
+   end of file costs what [splice_eof] costs: one block here. *)
+let test_splice_setup_charges_streamed_blocks () =
+  with_kernel (fun _ env ->
+      let fd = Syscall.openf env "/src" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
+      ignore (Syscall.write env fd (Bytes.create 8192) ~pos:0 ~len:8192);
+      Syscall.close env fd;
+      let sys_cpu_of_splice dst size =
+        let sfd = Syscall.openf env "/src" [ Syscall.O_RDONLY ] in
+        let dfd = Syscall.openf env dst [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
+        let p = Syscall.proc env in
+        let before = p.Process.cpu_sys in
+        let n = Syscall.splice env ~src:sfd ~dst:dfd size in
+        let spent = Time.diff p.Process.cpu_sys before in
+        Alcotest.(check int) "one block moved" 8192 n;
+        Syscall.close env sfd;
+        Syscall.close env dfd;
+        spent
+      in
+      let to_eof = sys_cpu_of_splice "/a" Syscall.splice_eof in
+      let past_eof = sys_cpu_of_splice "/b" (8 * 1024 * 1024) in
+      Alcotest.check Util.time "size past EOF charges the EOF setup" to_eof
+        past_eof;
+      Alcotest.check Util.time "trap plus one block of setup" (Time.us 35)
+        past_eof)
+
+(* A size below [splice_eof] is EINVAL for splice and splice graphs
+   alike. *)
+let test_splice_negative_size_einval () =
+  with_kernel (fun _ env ->
+      let fd = Syscall.openf env "/src" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
+      ignore (Syscall.write env fd (Bytes.create 16384) ~pos:0 ~len:16384);
+      Syscall.close env fd;
+      let sfd = Syscall.openf env "/src" [ Syscall.O_RDONLY ] in
+      let dfd = Syscall.openf env "/dst" [ Syscall.O_CREAT; Syscall.O_WRONLY ] in
+      expect_errno Errno.EINVAL (fun () ->
+          Syscall.splice env ~src:sfd ~dst:dfd (-5));
+      expect_errno Errno.EINVAL (fun () ->
+          Syscall.splice_graph env ~srcs:[ sfd ] ~dsts:[ dfd ] (-5));
+      Alcotest.(check int) "nothing written" 0 (Syscall.file_size env dfd))
+
 let test_splice_socket_to_socket_syscall () =
   with_kernel (fun m env ->
       let net = Netif.create_net (Machine.engine m) in
@@ -325,6 +366,10 @@ let suite =
     Alcotest.test_case "splice(2) FASYNC + SIGIO" `Quick test_splice_async_sigio;
     Alcotest.test_case "splice(2) EINVAL unaligned" `Quick test_splice_unaligned_offset_einval;
     Alcotest.test_case "splice(2) advances offsets" `Quick test_splice_advances_offsets;
+    Alcotest.test_case "splice(2) setup charges streamed blocks" `Quick
+      test_splice_setup_charges_streamed_blocks;
+    Alcotest.test_case "splice(2) negative size EINVAL" `Quick
+      test_splice_negative_size_einval;
     Alcotest.test_case "splice(2) socket relay" `Quick test_splice_socket_to_socket_syscall;
     Alcotest.test_case "setitimer + pause" `Quick test_setitimer_pause_loop;
     Alcotest.test_case "interruptible sleep" `Quick test_interruptible_sleep;
