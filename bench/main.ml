@@ -14,10 +14,11 @@
             sweep-cachesize sweep-cpuspeed sweep-fanout sweep-cluster
             sweep-cluster-quick sweep-prog sweep-prog-quick table-udp
             table-media table-sendfile table-relatedwork timeline quick all
-   The simulated results of table1 table2 ablation-watermarks
-   ablation-lockstep ablation-elevator table-udp table-media
-   table-sendfile table-relatedwork timeline are pinned by
-   test/golden under dune runtest. *)
+   The simulated results of table1 table1-natural table2
+   ablation-watermarks ablation-lockstep ablation-elevator sweep-size
+   sweep-blocksize sweep-cachesize sweep-cpuspeed table-udp table-media
+   table-sendfile table-relatedwork timeline are pinned by test/golden
+   under dune runtest. *)
 
 open Kpath_workloads
 
@@ -156,11 +157,10 @@ let print_size_sweep () =
     "%impr";
   Printf.printf "%s\n" line;
   List.iter
-    (fun (size, scp, cp) ->
+    (fun (size, r) ->
       Printf.printf "%5d MB | %10.0f | %10.0f | %7.0f%%\n" (size / mb)
-        scp.Experiments.cm_kb_per_sec cp.Experiments.cm_kb_per_sec
-        ((scp.Experiments.cm_kb_per_sec -. cp.Experiments.cm_kb_per_sec)
-        /. cp.Experiments.cm_kb_per_sec *. 100.0))
+        r.Experiments.tp_scp_kbps r.Experiments.tp_cp_kbps
+        r.Experiments.tp_pct_improvement)
     (Experiments.size_sweep ~disk:`Rz58
        [ 1 * mb; 2 * mb; 4 * mb; 8 * mb; 16 * mb ]);
   print_newline ()
@@ -179,18 +179,12 @@ let print_blocksize_sweep ?(file_bytes = 4 * mb) () =
           ramdisk_blocks = 16 * mb / block_size;
         }
       in
-      let scp =
-        Experiments.measure_copy ~mode:`Scp ~disk:`Rz58 ~file_bytes
-          ~machine_config ()
-      in
-      let cp =
-        Experiments.measure_copy ~mode:`Cp ~disk:`Rz58 ~file_bytes
-          ~machine_config ()
+      let r =
+        Experiments.compare_copy ~disk:`Rz58 ~file_bytes ~machine_config ()
       in
       Printf.printf "%5d KB | %10.0f | %10.0f | %7.0f%%\n" (block_size / 1024)
-        scp.Experiments.cm_kb_per_sec cp.Experiments.cm_kb_per_sec
-        ((scp.Experiments.cm_kb_per_sec -. cp.Experiments.cm_kb_per_sec)
-        /. cp.Experiments.cm_kb_per_sec *. 100.0))
+        r.Experiments.tp_scp_kbps r.Experiments.tp_cp_kbps
+        r.Experiments.tp_pct_improvement)
     [ 4096; 8192; 16384 ];
   print_newline ()
 
@@ -206,16 +200,11 @@ let print_cachesize_sweep ?(file_bytes = 8 * mb) () =
           Kpath_kernel.Config.cache_bytes = cache_kb * 1024;
         }
       in
-      let scp =
-        Experiments.measure_copy ~mode:`Scp ~disk:`Rz58 ~file_bytes
-          ~machine_config ()
-      in
-      let cp =
-        Experiments.measure_copy ~mode:`Cp ~disk:`Rz58 ~file_bytes
-          ~machine_config ()
+      let r =
+        Experiments.compare_copy ~disk:`Rz58 ~file_bytes ~machine_config ()
       in
       Printf.printf "%5d KB | %10.0f | %10.0f\n" cache_kb
-        scp.Experiments.cm_kb_per_sec cp.Experiments.cm_kb_per_sec)
+        r.Experiments.tp_scp_kbps r.Experiments.tp_cp_kbps)
     [ 1600; 3200; 6400 ];
   print_newline ()
 
@@ -384,19 +373,10 @@ let print_cpuspeed_sweep ?(file_bytes = 4 * mb) () =
     (fun (label, machine_config) ->
       List.iter
         (fun disk ->
-          let scp =
-            Experiments.measure_copy ~mode:`Scp ~disk ~file_bytes
-              ~machine_config ()
-          in
-          let cp =
-            Experiments.measure_copy ~mode:`Cp ~disk ~file_bytes
-              ~machine_config ()
-          in
+          let r = Experiments.compare_copy ~disk ~file_bytes ~machine_config () in
           Printf.printf "%-22s | %-5s | %9.0f | %9.0f | %5.0f%%\n" label
-            (Experiments.disk_name disk) scp.Experiments.cm_kb_per_sec
-            cp.Experiments.cm_kb_per_sec
-            ((scp.Experiments.cm_kb_per_sec -. cp.Experiments.cm_kb_per_sec)
-            /. cp.Experiments.cm_kb_per_sec *. 100.0))
+            (Experiments.disk_name disk) r.Experiments.tp_scp_kbps
+            r.Experiments.tp_cp_kbps r.Experiments.tp_pct_improvement)
         [ `Ram; `Rz58 ])
     [
       ("5000/200 (25MHz)", Kpath_kernel.Config.decstation_5000_200);

@@ -27,6 +27,17 @@ let file_bytes size_mb =
   if size_mb < 1 then usage_error "--size-mb must be at least 1";
   size_mb * mb
 
+(* A filter program assembled and verified from the file at [path]; an
+   unreadable or rejected file is a usage error. *)
+let load_prog path =
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> usage_error ("cannot read program: " ^ msg)
+  in
+  match Kpath_vm.Asm.load text with
+  | Ok p -> p
+  | Error diag -> usage_error (Printf.sprintf "%s: %s" path diag)
+
 let disk_conv =
   let parse = function
     | "ram" -> Ok `Ram
@@ -130,22 +141,10 @@ let copy_cmd =
         Experiments.make_setup ~disk ~file_bytes:(file_bytes size_mb) ~same_disk
           ~machine_config ()
       in
-      Experiments.cold_caches s;
       let machine = s.Experiments.machine in
       Kpath_sim.Trace.enable (Machine.trace machine) "splice";
-      let stats = Programs.fresh_copy_stats () in
-      let _copier =
-        match mode with
-        | `Cp ->
-          Programs.spawn_cp machine ~src:s.Experiments.src_path
-            ~dst:s.Experiments.dst_path stats
-        | `Mcp ->
-          Programs.spawn_mcp machine ~src:s.Experiments.src_path
-            ~dst:s.Experiments.dst_path stats
-        | `Scp ->
-          Programs.spawn_scp machine ~src:s.Experiments.src_path
-            ~dst:s.Experiments.dst_path ?config stats
-      in
+      ignore
+        (Experiments.spawn_copier s ~mode ?config (Programs.fresh_copy_stats ()));
       Machine.run machine;
       let events = Kpath_sim.Trace.events (Machine.trace machine) in
       let skip = max 0 (List.length events - last_n) in
@@ -347,29 +346,14 @@ let graph_cmd =
     (match window with
      | Some w when w < 1 -> usage_error "--window must be at least 1"
      | _ -> ());
-    let prog_filter =
-      match prog with
-      | None -> []
-      | Some path ->
-        let text =
-          try
-            let ic = open_in_bin path in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            s
-          with Sys_error msg -> usage_error ("cannot read program: " ^ msg)
-        in
-        (match Kpath_vm.Asm.load text with
-         | Ok p -> [ Kpath_graph.Graph.Prog p ]
-         | Error diag -> usage_error (Printf.sprintf "%s: %s" path diag))
-    in
     let filters =
       (if checksum then [ Kpath_graph.Graph.Checksum ] else [])
       @ (match throttle with
          | Some bps -> [ Kpath_graph.Graph.Throttle bps ]
          | None -> [])
-      @ prog_filter
+      @ (match prog with
+         | Some path -> [ Kpath_graph.Graph.Prog (load_prog path) ]
+         | None -> [])
     in
     let filters = if filters = [] then None else Some filters in
     (match domains with
@@ -447,79 +431,61 @@ let prog_cmd =
              ~doc:"Filter program source to verify and disassemble.")
   in
   let run path =
-    let fail fmt =
-      Format.kasprintf
-        (fun msg ->
-          Format.eprintf "kpathctl: %s@." msg;
-          exit 124)
-        fmt
+    let p = load_prog path in
+    let insns = Kpath_vm.Vm.insns p in
+    let code = Kpath_vm.Compile.compile p in
+    let bs = Kpath_vm.Compile.blocks code in
+    Format.printf "%s: verified, context %s@." path
+      (match Kpath_vm.Vm.prog_context p with
+       | Kpath_vm.Vm.Edge -> "edge"
+       | Kpath_vm.Vm.Readonly -> "readonly");
+    Format.printf
+      "%d instructions, worst_cost %d <= fuel %d, scratch %d cells, %d \
+       basic blocks@."
+      (Array.length insns)
+      (Kpath_vm.Vm.worst_cost p)
+      (Kpath_vm.Vm.fuel p)
+      (Kpath_vm.Vm.scratch_cells p)
+      (Array.length bs);
+    let accesses = Kpath_vm.Vm.accesses p in
+    let proven =
+      List.length
+        (List.filter
+           (fun a ->
+             match a.Kpath_vm.Vm.a_bounds with
+             | `Proven -> true
+             | `Checked -> false)
+           accesses)
     in
-    let text =
-      try
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with Sys_error msg -> fail "cannot read program: %s" msg
-    in
-    match Kpath_vm.Asm.load text with
-    | Error diag -> fail "%s: %s" path diag
-    | Ok p ->
-      let insns = Kpath_vm.Vm.insns p in
-      let code = Kpath_vm.Compile.compile p in
-      let bs = Kpath_vm.Compile.blocks code in
-      Format.printf "%s: verified, context %s@." path
-        (match Kpath_vm.Vm.prog_context p with
-         | Kpath_vm.Vm.Edge -> "edge"
-         | Kpath_vm.Vm.Readonly -> "readonly");
-      Format.printf
-        "%d instructions, worst_cost %d <= fuel %d, scratch %d cells, %d \
-         basic blocks@."
-        (Array.length insns)
-        (Kpath_vm.Vm.worst_cost p)
-        (Kpath_vm.Vm.fuel p)
-        (Kpath_vm.Vm.scratch_cells p)
-        (Array.length bs);
-      let accesses = Kpath_vm.Vm.accesses p in
-      let proven =
-        List.length
-          (List.filter
-             (fun a ->
-               match a.Kpath_vm.Vm.a_bounds with
-               | `Proven -> true
-               | `Checked -> false)
-             accesses)
-      in
-      Format.printf
-        "range analysis: %d faultable sites, %d proven@."
-        (List.length accesses) proven;
-      let tiers = Kpath_vm.Compile.block_tiers code in
-      Array.iteri
-        (fun b { Kpath_vm.Compile.bb_first; bb_last } ->
-          Format.printf "b%d: [%s]@." b tiers.(b);
-          for pc = bb_first to bb_last do
-            let note =
-              match
-                List.find_opt (fun a -> a.Kpath_vm.Vm.a_pc = pc) accesses
-              with
-              | None -> ""
-              | Some a ->
-                Format.sprintf "  ; %s %s, %s"
-                  (match a.Kpath_vm.Vm.a_kind with
-                   | `Load -> "load"
-                   | `Store -> "store"
-                   | `Div -> "div")
-                  (match a.Kpath_vm.Vm.a_bounds with
-                   | `Proven -> "proven"
-                   | `Checked -> "checked")
-                  a.Kpath_vm.Vm.a_range
-            in
-            Format.printf "  %4d: %s%s@." pc
-              (Kpath_vm.Asm.insn_to_string ~pc insns.(pc))
-              note
-          done)
-        bs
+    Format.printf
+      "range analysis: %d faultable sites, %d proven@."
+      (List.length accesses) proven;
+    let tiers = Kpath_vm.Compile.block_tiers code in
+    Array.iteri
+      (fun b { Kpath_vm.Compile.bb_first; bb_last } ->
+        Format.printf "b%d: [%s]@." b tiers.(b);
+        for pc = bb_first to bb_last do
+          let note =
+            match
+              List.find_opt (fun a -> a.Kpath_vm.Vm.a_pc = pc) accesses
+            with
+            | None -> ""
+            | Some a ->
+              Format.sprintf "  ; %s %s, %s"
+                (match a.Kpath_vm.Vm.a_kind with
+                 | `Load -> "load"
+                 | `Store -> "store"
+                 | `Div -> "div")
+                (match a.Kpath_vm.Vm.a_bounds with
+                 | `Proven -> "proven"
+                 | `Checked -> "checked")
+                a.Kpath_vm.Vm.a_range
+          in
+          Format.printf "  %4d: %s%s@." pc
+            (Kpath_vm.Asm.insn_to_string ~pc insns.(pc))
+            note
+        done)
+      bs
   in
   Cmd.v
     (Cmd.info "prog"
@@ -555,8 +521,8 @@ let sendfile_cmd =
               ~file_bytes:(file_bytes size_mb) ~loss ()
           with Experiments.Handshake_failed ->
             Format.eprintf
-              "kpathctl: %s: TCP handshake timed out under frame loss \
-               (lower --loss)@."
+              "kpathctl: %s: TCP handshake timed out under frame loss or \
+               while the server wrote the file (lower --loss or --size-mb)@."
               name;
             exit 1
         in

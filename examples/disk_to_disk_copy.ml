@@ -16,18 +16,13 @@ let mb = 1024 * 1024
 
 let run ~disk ~file_bytes ~mode =
   let s = Experiments.make_setup ~disk ~file_bytes () in
-  Experiments.cold_caches s;
   let m = s.Experiments.machine in
   let cpu_before =
     let c = Sched.cpu (Machine.sched m) in
     (Cpu.user c, Cpu.sys c, Cpu.intr c, Cpu.ctx c)
   in
   let stats = Programs.fresh_copy_stats () in
-  let _copier =
-    match mode with
-    | `Cp -> Programs.spawn_cp m ~src:s.Experiments.src_path ~dst:s.Experiments.dst_path stats
-    | `Scp -> Programs.spawn_scp m ~src:s.Experiments.src_path ~dst:s.Experiments.dst_path stats
-  in
+  let _copier = Experiments.spawn_copier s ~mode stats in
   Machine.run m;
   let dt =
     Time.diff stats.Programs.copy_finished stats.Programs.copy_started

@@ -445,10 +445,10 @@ let splice_graph_start env ~srcs ~dsts ?config ?filters ?window size =
        "splice_graph: topology must be one-to-many or many-to-one");
   let fsrcs = List.map (Fd.get env.fds) srcs in
   let fdsts = List.map (Fd.get env.fds) dsts in
-  let g = Graph.create (Machine.graph_ctx env.machine) ?window () in
-  let totals =
+  let g, totals =
     fs_guard "splice_graph" (fun () ->
         try
+          let g = Graph.create (Machine.graph_ctx env.machine) ?window () in
           let srcs = List.map (fun f -> graph_src_node env g f size) fsrcs in
           let dst_nodes =
             List.map
@@ -462,7 +462,7 @@ let splice_graph_start env ~srcs ~dsts ?config ?filters ?window size =
                 dst_nodes)
             srcs;
           Graph.start g;
-          List.map snd srcs
+          (g, List.map snd srcs)
         with Invalid_argument msg -> Errno.raise_errno Errno.EINVAL msg)
   in
   (* Advance file offsets past the spliced ranges, as splice(2) does:

@@ -27,6 +27,15 @@ let drive_blocks ~config ~disk ~file_bytes ~same_disk =
   | `Ram -> Some (max config.Config.ramdisk_blocks need)
   | `Rz56 | `Rz58 -> Some (max 4096 need)
 
+let cold_caches s =
+  let m = s.machine in
+  let devs =
+    List.filter_map
+      (fun path -> Option.map (fun (fs, _) -> Fs.dev fs) (Machine.resolve m path))
+      [ "/src"; "/dst" ]
+  in
+  List.iter (fun dev -> Cache.invalidate_dev (Machine.cache m) dev) devs
+
 let make_setup ~disk ?(file_bytes = 8 * 1024 * 1024) ?(same_disk = false)
     ?disk_queue ?(machine_config = Config.decstation_5000_200) () =
   let m = Machine.create ~config:machine_config () in
@@ -72,16 +81,26 @@ let make_setup ~disk ?(file_bytes = 8 * 1024 * 1024) ?(same_disk = false)
       drives = [ d0; d1 ];
     }
   in
+  cold_caches s;
   s
 
-let cold_caches s =
-  let m = s.machine in
-  let devs =
-    List.filter_map
-      (fun path -> Option.map (fun (fs, _) -> Fs.dev fs) (Machine.resolve m path))
-      [ "/src"; "/dst" ]
-  in
-  List.iter (fun dev -> Cache.invalidate_dev (Machine.cache m) dev) devs
+let spawn_copier s ~mode ?config ?pace ?loop_until stats =
+  let m = s.machine and src = s.src_path and dst = s.dst_path in
+  match mode with
+  | `Cp -> Programs.spawn_cp m ~src ~dst ?pace ?loop_until stats
+  | `Scp -> Programs.spawn_scp m ~src ~dst ?config ?pace ?loop_until stats
+  | `Mcp -> Programs.spawn_mcp m ~src ~dst ?loop_until stats
+
+let drive_serviced = function
+  | Machine.Scsi d -> Kpath_dev.Disk.serviced d
+  | Machine.Ram r -> Kpath_dev.Ramdisk.serviced r
+
+(* Device requests completed so far on the setup's drives, a shared
+   drive counted once. *)
+let requests_served s =
+  match s.drives with
+  | [ d0; d1 ] when d0 == d1 -> drive_serviced d0
+  | ds -> List.fold_left (fun a d -> a + drive_serviced d) 0 ds
 
 (* {1 Throughput (Table 2)} *)
 
@@ -91,6 +110,7 @@ type copy_measure = {
   cm_kb_per_sec : float;
   cm_verified : bool;
   cm_events : int;
+  cm_requests : int;
 }
 
 let verify_dst s =
@@ -106,17 +126,13 @@ let verify_dst s =
 let measure_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue
     ?machine_config ?config () =
   let s = make_setup ~disk ?file_bytes ?same_disk ?disk_queue ?machine_config () in
-  cold_caches s;
+  let requests0 = requests_served s in
   let stats = Programs.fresh_copy_stats () in
-  let _copier =
-    match mode with
-    | `Cp -> Programs.spawn_cp s.machine ~src:s.src_path ~dst:s.dst_path stats
-    | `Mcp -> Programs.spawn_mcp s.machine ~src:s.src_path ~dst:s.dst_path stats
-    | `Scp -> Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path ?config stats
-  in
+  let _copier = spawn_copier s ~mode ?config stats in
   Machine.run s.machine;
   if stats.Programs.copies_done < 1 then failwith "copy did not complete";
   let events = Engine.events_fired (Machine.engine s.machine) in
+  let requests = requests_served s - requests0 in
   let seconds =
     Time.to_sec_f (Time.diff stats.Programs.copy_finished stats.Programs.copy_started)
   in
@@ -127,6 +143,7 @@ let measure_copy ~mode ~disk ?file_bytes ?same_disk ?disk_queue
     cm_kb_per_sec = float_of_int stats.Programs.bytes_copied /. 1024.0 /. seconds;
     cm_verified = verified;
     cm_events = events;
+    cm_requests = requests;
   }
 
 type tput_row = {
@@ -136,21 +153,21 @@ type tput_row = {
   tp_pct_improvement : float;
 }
 
+let compare_copy ~disk ?file_bytes ?machine_config () =
+  let scp = measure_copy ~mode:`Scp ~disk ?file_bytes ?machine_config () in
+  let cp = measure_copy ~mode:`Cp ~disk ?file_bytes ?machine_config () in
+  if not (scp.cm_verified && cp.cm_verified) then
+    failwith ("compare_copy: integrity check failed on " ^ disk_name disk);
+  {
+    tp_disk = disk;
+    tp_scp_kbps = scp.cm_kb_per_sec;
+    tp_cp_kbps = cp.cm_kb_per_sec;
+    tp_pct_improvement =
+      (scp.cm_kb_per_sec -. cp.cm_kb_per_sec) /. cp.cm_kb_per_sec *. 100.0;
+  }
+
 let table2 ?file_bytes () =
-  List.map
-    (fun disk ->
-      let scp = measure_copy ~mode:`Scp ~disk ?file_bytes () in
-      let cp = measure_copy ~mode:`Cp ~disk ?file_bytes () in
-      if not (scp.cm_verified && cp.cm_verified) then
-        failwith ("table2: integrity check failed on " ^ disk_name disk);
-      {
-        tp_disk = disk;
-        tp_scp_kbps = scp.cm_kb_per_sec;
-        tp_cp_kbps = cp.cm_kb_per_sec;
-        tp_pct_improvement =
-          (scp.cm_kb_per_sec -. cp.cm_kb_per_sec) /. cp.cm_kb_per_sec *. 100.0;
-      })
-    [ `Ram; `Rz56; `Rz58 ]
+  List.map (fun disk -> compare_copy ~disk ?file_bytes ()) [ `Ram; `Rz56; `Rz58 ]
 
 (* {1 CPU availability (Table 1)} *)
 
@@ -171,23 +188,21 @@ let idle_seconds ~ops =
   | Some t -> Time.to_sec_f t
   | None -> failwith "idle test program did not finish"
 
-let slowdown ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () =
+(* The Table 1 environment: a copy looping on a fresh setup until the
+   test program, started beside it, exits. *)
+let contend ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () =
   let s = make_setup ~disk ?file_bytes ?machine_config () in
-  cold_caches s;
-  let test_stats = Programs.fresh_test_stats () in
   let stop = ref false in
-  let copy_stats = Programs.fresh_copy_stats () in
   let _copier =
-    match mode with
-    | `Cp ->
-      Programs.spawn_cp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
-    | `Scp ->
-      Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
+    spawn_copier s ~mode ?pace ~loop_until:stop (Programs.fresh_copy_stats ())
   in
+  let test_stats = Programs.fresh_test_stats () in
   let test = Programs.spawn_test_program s.machine ~ops test_stats in
   Sched.exit_hook test (fun () -> stop := true);
+  (s, test_stats)
+
+let slowdown ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () =
+  let s, test_stats = contend ~mode ~disk ?file_bytes ?pace ?machine_config ~ops () in
   Machine.run s.machine;
   match test_stats.Programs.test_finished with
   | Some t ->
@@ -211,22 +226,7 @@ let table1 ?file_bytes ?(ops = 2000) ?(pace = Some 1.0e6) () =
 
 let availability_timeline ~mode ~disk ?file_bytes ?pace ?(ops = 2000)
     ?(bucket = Time.ms 250) () =
-  let s = make_setup ~disk ?file_bytes () in
-  cold_caches s;
-  let test_stats = Programs.fresh_test_stats () in
-  let stop = ref false in
-  let copy_stats = Programs.fresh_copy_stats () in
-  let _copier =
-    match mode with
-    | `Cp ->
-      Programs.spawn_cp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
-    | `Scp ->
-      Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path ?pace
-        ~loop_until:stop copy_stats
-  in
-  let test = Programs.spawn_test_program s.machine ~ops test_stats in
-  Sched.exit_hook test (fun () -> stop := true);
+  let s, test_stats = contend ~mode ~disk ?file_bytes ?pace ~ops () in
   (* Sample completed ops at bucket boundaries until the test exits. *)
   let samples = ref [] in
   let engine = Machine.engine s.machine in
@@ -245,10 +245,6 @@ let availability_timeline ~mode ~disk ?file_bytes ?pace ?(ops = 2000)
 
 (* {1 Cluster sweep (§7 "larger transfer units")} *)
 
-let drive_serviced = function
-  | Machine.Scsi d -> Kpath_dev.Disk.serviced d
-  | Machine.Ram r -> Kpath_dev.Ramdisk.serviced r
-
 type cluster_row = {
   cl_cluster : int;
   cl_disk : disk_kind;
@@ -263,26 +259,16 @@ let measure_cluster ~disk ?file_bytes ?(ops = 2000) ?(pace = Some 1.0e6)
     { Config.decstation_5000_200 with max_cluster = cluster }
   in
   (* Throughput and device interrupts on an otherwise idle machine. *)
-  let s = make_setup ~disk ?file_bytes ~machine_config () in
-  cold_caches s;
-  let before = List.fold_left (fun a d -> a + drive_serviced d) 0 s.drives in
-  let stats = Programs.fresh_copy_stats () in
-  let _copier = Programs.spawn_scp s.machine ~src:s.src_path ~dst:s.dst_path stats in
-  Machine.run s.machine;
-  if stats.Programs.copies_done < 1 then failwith "cluster copy did not complete";
-  let seconds =
-    Time.to_sec_f (Time.diff stats.Programs.copy_finished stats.Programs.copy_started)
-  in
-  let after = List.fold_left (fun a d -> a + drive_serviced d) 0 s.drives in
-  if not (verify_dst s) then failwith "cluster copy corrupted the destination";
-  let mb = float_of_int stats.Programs.bytes_copied /. (1024.0 *. 1024.0) in
+  let c = measure_copy ~mode:`Scp ~disk ?file_bytes ~machine_config () in
+  if not c.cm_verified then failwith "cluster copy corrupted the destination";
+  let mb = float_of_int c.cm_bytes /. (1024.0 *. 1024.0) in
   (* CPU availability: test-program slowdown under a paced scp loop. *)
   let f_scp = slowdown ~mode:`Scp ~disk ?file_bytes ?pace ~machine_config ~ops () in
   {
     cl_cluster = cluster;
     cl_disk = disk;
-    cl_scp_kbps = float_of_int stats.Programs.bytes_copied /. 1024.0 /. seconds;
-    cl_intrs_per_mb = float_of_int (after - before) /. mb;
+    cl_scp_kbps = c.cm_kb_per_sec;
+    cl_intrs_per_mb = float_of_int c.cm_requests /. mb;
     cl_f_scp = f_scp;
   }
 
@@ -297,12 +283,7 @@ let watermark_sweep ~disk ?file_bytes configs =
     configs
 
 let size_sweep ~disk sizes =
-  List.map
-    (fun file_bytes ->
-      ( file_bytes,
-        measure_copy ~mode:`Scp ~disk ~file_bytes (),
-        measure_copy ~mode:`Cp ~disk ~file_bytes () ))
-    sizes
+  List.map (fun file_bytes -> (file_bytes, compare_copy ~disk ~file_bytes ())) sizes
 
 (* {1 Continuous-media playback} *)
 
@@ -462,39 +443,116 @@ type sendfile_measure = {
 
 exception Handshake_failed
 
-let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
-    ?(bandwidth = 2.5e6) ?(machine_config = Config.decstation_5000_200) () =
-  let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
-  in
-  let server = Machine.create ~config:machine_config ~engine () in
+let cpu_busy m = Cpu.busy (Sched.cpu (Machine.sched m))
+
+(* A server and a client machine on one engine (one simulated clock,
+   separate CPUs), joined by one segment. *)
+let two_hosts ~machine_config ~bandwidth ~loss =
+  let server = Machine.create ~config:machine_config () in
+  let engine = Machine.engine server in
   let client = Machine.create ~config:machine_config ~engine () in
   let net = Netif.create_net ~bandwidth engine in
   if loss > 0.0 then Netif.set_loss net loss;
   let srv_if = Netif.attach net ~name:"srv0" ~intr:(Machine.intr server) () in
   let cli_if = Netif.attach net ~name:"cli0" ~intr:(Machine.intr client) () in
-  let drive = Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58 () in
+  (server, client, srv_if, cli_if)
+
+(* The served file's drive: an RZ58 holding the file plus metadata. *)
+let data_drive m ~file_bytes =
+  let bs = (Machine.config m).Config.block_size in
+  Machine.make_drive m ~name:"rz58-0" ~kind:`Rz58
+    ~nblocks:(max 4096 (((file_bytes + bs - 1) / bs) + 64))
+    ()
+
+(* Process context: a filesystem on [drive] mounted at [/], the pattern
+   file [/data] written and synced, and the drive's blocks evicted so
+   serving starts cold. Returns the environment that wrote it. *)
+let make_data_file m drive ~file_bytes =
+  let fs = Fs.mkfs ~cache:(Machine.cache m) (Machine.blkdev drive) ~ninodes:16 in
+  Machine.mount m "/" fs;
+  let env = Syscall.make_env m in
+  Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
+  Cache.invalidate_dev (Machine.cache m) (Machine.blkdev drive);
+  env
+
+(* One TCP reader of the served file, filled in as its process runs. *)
+type reader = {
+  mutable rd_bytes : int;
+  mutable rd_corrupt : int;  (* bytes that differ from the pattern *)
+  mutable rd_finished : Time.t;  (* of its last read *)
+  mutable rd_refused : bool;  (* the handshake timed out *)
+}
+
+(* A process on [client] that connects to the server's port 80 (SYN
+   retransmission covers the server's set-up time), reads to end of
+   stream and checks every byte against the pattern. *)
+let drain_client client ~name cli_if ~srv_if ~port ?rcvbuf () =
+  let r =
+    { rd_bytes = 0; rd_corrupt = 0; rd_finished = Time.zero; rd_refused = false }
+  in
+  ignore
+    (Machine.spawn client ~name (fun () ->
+         let env = Syscall.make_env client in
+         match
+           Syscall.tcp_connect env cli_if ~port
+             ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
+             ?rcvbuf ()
+         with
+         | exception Errno.Unix_error (Errno.EIO, _) -> r.rd_refused <- true
+         | fd ->
+           let buf = Bytes.create 8192 in
+           let rec drain () =
+             let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
+             if n > 0 then begin
+               r.rd_corrupt <-
+                 r.rd_corrupt
+                 + Programs.pattern_mismatches buf ~pos:0 ~len:n
+                     ~file_off:r.rd_bytes;
+               r.rd_bytes <- r.rd_bytes + n;
+               r.rd_finished <- Machine.now client;
+               drain ()
+             end
+           in
+           drain ();
+           Syscall.close env fd));
+  r
+
+(* Run a served-file simulation to the end. A client that never
+   connected leaves the server asleep in accept, which the scheduler
+   reports as a deadlock: that client was never served. *)
+let run_server server readers =
+  let refused () = List.exists (fun r -> r.rd_refused) readers in
+  (try Machine.run server with Sched.Deadlock _ when refused () -> ());
+  if refused () then raise Handshake_failed
+
+(* Simulated seconds from [started] to the last byte any reader got,
+   and the aggregate rate over them in KB/s. *)
+let served_rate ~started readers =
+  let finished =
+    List.fold_left (fun t r -> Time.max t r.rd_finished) Time.zero readers
+  in
+  let total = List.fold_left (fun a r -> a + r.rd_bytes) 0 readers in
+  let seconds =
+    if Time.(finished > started) then Time.to_sec_f (Time.diff finished started)
+    else 0.0
+  in
+  (seconds, if seconds > 0.0 then float_of_int total /. 1024.0 /. seconds else 0.0)
+
+let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
+    ?(bandwidth = 2.5e6) ?(machine_config = Config.decstation_5000_200) () =
+  let server, client, srv_if, cli_if = two_hosts ~machine_config ~bandwidth ~loss in
+  let drive = data_drive server ~file_bytes in
   let retx = ref 0 in
-  let started = ref Time.zero and finished = ref Time.zero in
-  let received = ref 0 and corrupt = ref 0 in
+  let started = ref Time.zero in
   let server_cpu = ref Time.zero in
-  let no_handshake = ref false in
   (* Server: produce the file, then serve one connection. *)
   let _srv =
     Machine.spawn server ~name:"file-server" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache server) (Machine.blkdev drive)
-            ~ninodes:16
-        in
-        Machine.mount server "/" fs;
-        let env = Syscall.make_env server in
-        Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
-        Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
+        let env = make_data_file server drive ~file_bytes in
         let l = Syscall.tcp_listen env srv_if ~port:80 in
         let cfd = Syscall.tcp_accept env l in
-        started := Engine.now engine;
-        let cpu_mark = Cpu.busy (Sched.cpu (Machine.sched server)) in
+        started := Machine.now server;
+        let cpu_mark = cpu_busy server in
         let src = Syscall.openf env "/data" [ Syscall.O_RDONLY ] in
         (match mode with
          | `Sendfile ->
@@ -512,51 +570,16 @@ let measure_sendfile ~mode ?(file_bytes = 4 * 1024 * 1024) ?(loss = 0.0)
         retx := Tcp.retransmits (Syscall.tcp_conn env cfd);
         Syscall.close env src;
         Syscall.close env cfd;
-        server_cpu :=
-          Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu_mark)
+        server_cpu := Time.diff (cpu_busy server) cpu_mark)
   in
-  (* Client: connect (SYN retransmission covers the server's setup
-     time), drain the stream and verify every byte. *)
-  let _cli =
-    Machine.spawn client ~name:"client" (fun () ->
-        let env = Syscall.make_env client in
-        match
-          Syscall.tcp_connect env cli_if ~port:1000
-            ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
-            ()
-        with
-        | exception Errno.Unix_error (Errno.EIO, _) -> no_handshake := true
-        | fd ->
-          let buf = Bytes.create 8192 in
-          let rec drain () =
-            let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
-            if n > 0 then begin
-              for i = 0 to n - 1 do
-                if Bytes.get buf i <> Programs.pattern_byte (!received + i)
-                then incr corrupt
-              done;
-              received := !received + n;
-              finished := Engine.now engine;
-              drain ()
-            end
-          in
-          drain ();
-          Syscall.close env fd)
-  in
-  (* A client that never connected leaves the server asleep in accept,
-     which the scheduler reports as a deadlock. *)
-  (try Machine.run server with Sched.Deadlock _ when !no_handshake -> ());
-  if !no_handshake then raise Handshake_failed;
-  let seconds =
-    if Time.(!finished > !started) then Time.to_sec_f (Time.diff !finished !started)
-    else 0.0
-  in
+  let r = drain_client client ~name:"client" cli_if ~srv_if ~port:1000 () in
+  run_server server [ r ];
+  let seconds, kb_per_sec = served_rate ~started:!started [ r ] in
   {
-    sf_bytes = !received;
-    sf_verified = (!corrupt = 0 && !received = file_bytes);
+    sf_bytes = r.rd_bytes;
+    sf_verified = (r.rd_corrupt = 0 && r.rd_bytes = file_bytes);
     sf_seconds = seconds;
-    sf_kb_per_sec =
-      (if seconds > 0.0 then float_of_int !received /. 1024.0 /. seconds else 0.0);
+    sf_kb_per_sec = kb_per_sec;
     sf_server_cpu_sec = Time.to_sec_f !server_cpu;
     sf_retransmits = !retx;
   }
@@ -580,45 +603,25 @@ type fanout_measure = {
 let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
     ?(bandwidth = 2.5e6) ?config ?filters ?window ?trace_json
     ?(machine_config = Config.decstation_5000_200) () =
-  let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
+  let server, client, srv_if, cli_if =
+    two_hosts ~machine_config ~bandwidth ~loss:0.0
   in
-  let server = Machine.create ~config:machine_config ~engine () in
   if trace_json <> None then Trace.enable (Machine.trace server) "graph";
-  let client = Machine.create ~config:machine_config ~engine () in
-  let net = Netif.create_net ~bandwidth engine in
-  let srv_if = Netif.attach net ~name:"srv0" ~intr:(Machine.intr server) () in
-  let cli_if = Netif.attach net ~name:"cli0" ~intr:(Machine.intr client) () in
-  let bs = (Machine.config server).Config.block_size in
-  let nblocks = max 4096 ((file_bytes / bs) + 64) in
-  let drive =
-    Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58 ~nblocks ()
-  in
-  let started = ref Time.zero and finished = ref Time.zero in
-  let received = Array.make clients 0 in
-  let corrupt = ref 0 in
+  let drive = data_drive server ~file_bytes in
+  let started = ref Time.zero in
   let server_cpu = ref Time.zero in
   let device_reads = ref 0 in
   let pinned_after = ref 0 in
   let prog_runs = ref 0 and prog_insns = ref 0 in
-  let no_handshake = ref false in
   (* Server: produce the file cold, accept every client, then stream the
      file to all of them with one splice graph — one disk pass. *)
   let _srv =
     Machine.spawn server ~name:"fanout-server" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache server) (Machine.blkdev drive)
-            ~ninodes:16
-        in
-        Machine.mount server "/" fs;
-        let env = Syscall.make_env server in
-        Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
-        Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
+        let env = make_data_file server drive ~file_bytes in
         let l = Syscall.tcp_listen env srv_if ~port:80 in
         let cfds = List.init clients (fun _ -> Syscall.tcp_accept env l) in
-        started := Engine.now engine;
-        let cpu_mark = Cpu.busy (Sched.cpu (Machine.sched server)) in
+        started := Machine.now server;
+        let cpu_mark = cpu_busy server in
         let reads_mark =
           Stats.get (Cache.stats (Machine.cache server)) "cache.dev_reads"
         in
@@ -639,65 +642,30 @@ let measure_fanout ?(clients = 8) ?(file_bytes = 1024 * 1024)
         pinned_after := Cache.pinned_count (Machine.cache server);
         Syscall.close env src;
         List.iter (Syscall.close env) cfds;
-        server_cpu :=
-          Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu_mark)
+        server_cpu := Time.diff (cpu_busy server) cpu_mark)
   in
-  (* Clients: one reader process per connection on the client machine,
-     each connecting once (SYN retransmission covers the server's
-     set-up time), then draining and verifying its own copy of the
-     pattern. *)
-  for i = 0 to clients - 1 do
-    ignore
-      (Machine.spawn client ~name:(Printf.sprintf "client%d" i) (fun () ->
-           let env = Syscall.make_env client in
-           match
-             Syscall.tcp_connect env cli_if ~port:(1000 + i)
-               ~dst:{ Tcp.a_if = Netif.id srv_if; a_port = 80 }
-               ~rcvbuf:(512 * 1024) ()
-           with
-           | exception Errno.Unix_error (Errno.EIO, _) -> no_handshake := true
-           | fd ->
-             let buf = Bytes.create 8192 in
-             let rec drain () =
-               let n = Syscall.read env fd buf ~pos:0 ~len:8192 in
-               if n > 0 then begin
-                 corrupt :=
-                   !corrupt
-                   + Programs.pattern_mismatches buf ~pos:0 ~len:n
-                       ~file_off:received.(i);
-                 received.(i) <- received.(i) + n;
-                 if Time.(Engine.now engine > !finished) then
-                   finished := Engine.now engine;
-                 drain ()
-               end
-             in
-             drain ();
-             Syscall.close env fd))
-  done;
-  (* A client that never connected leaves the server asleep in accept,
-     which the scheduler reports as a deadlock. *)
-  (try Machine.run server with Sched.Deadlock _ when !no_handshake -> ());
-  if !no_handshake then raise Handshake_failed;
+  (* Clients: one reader process per connection on the client machine. *)
+  let readers =
+    List.init clients (fun i ->
+        drain_client client ~name:(Printf.sprintf "client%d" i) cli_if ~srv_if
+          ~port:(1000 + i) ~rcvbuf:(512 * 1024) ())
+  in
+  run_server server readers;
   (match trace_json with
    | Some fmt -> Trace.dump_json fmt (Machine.trace server)
    | None -> ());
-  let complete = Array.for_all (fun n -> n = file_bytes) received in
-  let total = Array.fold_left ( + ) 0 received in
-  let seconds =
-    if Time.(!finished > !started) then Time.to_sec_f (Time.diff !finished !started)
-    else 0.0
-  in
+  let seconds, agg_kb_per_sec = served_rate ~started:!started readers in
   {
     fo_clients = clients;
     fo_bytes_per_client = file_bytes;
-    fo_verified = (!corrupt = 0 && complete);
+    fo_verified =
+      List.for_all (fun r -> r.rd_corrupt = 0 && r.rd_bytes = file_bytes) readers;
     fo_device_reads = !device_reads;
     fo_seconds = seconds;
-    fo_agg_kb_per_sec =
-      (if seconds > 0.0 then float_of_int total /. 1024.0 /. seconds else 0.0);
+    fo_agg_kb_per_sec = agg_kb_per_sec;
     fo_server_cpu_sec = Time.to_sec_f !server_cpu;
     fo_pinned_after = !pinned_after;
-    fo_events = Engine.events_fired engine;
+    fo_events = Engine.events_fired (Machine.engine server);
     fo_prog_runs = !prog_runs;
     fo_prog_insns = !prog_insns;
   }
@@ -720,7 +688,6 @@ type prog_row = {
 let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
     ?machine_config () =
   let s = make_setup ~disk ~file_bytes ?machine_config () in
-  cold_caches s;
   let m = s.machine in
   let engine = Machine.engine m in
   let label, filters =
@@ -743,7 +710,7 @@ let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
         let dst =
           Syscall.openf env s.dst_path [ Syscall.O_CREAT; Syscall.O_WRONLY ]
         in
-        let cpu0 = Cpu.busy (Sched.cpu (Machine.sched m)) in
+        let cpu0 = cpu_busy m in
         let t0 = Engine.now engine in
         let g =
           Syscall.splice_graph_start env ~srcs:[ src ] ~dsts:[ dst ] ~filters
@@ -753,7 +720,7 @@ let measure_prog ~disk ?(file_bytes = 4 * 1024 * 1024) ~stage
          | Ok _ -> ()
          | Error e -> failwith ("measure_prog: " ^ e));
         seconds := Time.to_sec_f (Time.diff (Engine.now engine) t0);
-        cpu := Time.diff (Cpu.busy (Sched.cpu (Machine.sched m))) cpu0;
+        cpu := Time.diff (cpu_busy m) cpu0;
         (match Kpath_graph.Graph.edges g with
          | [ e ] -> checksum := Kpath_graph.Graph.edge_checksum e
          | _ -> ());
@@ -901,38 +868,25 @@ type shard_out = {
    atomic, so the staged blocks must be born in the domain that will
    stream them; the digest proves the copies agree. *)
 let stage_fanout_file ~machine_config ~file_bytes =
-  let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
-  in
-  let server = Machine.create ~config:machine_config ~engine () in
+  let server = Machine.create ~config:machine_config () in
+  let engine = Machine.engine server in
   let bs = machine_config.Config.block_size in
   let nblocks = (file_bytes + bs - 1) / bs in
-  let drive =
-    Machine.make_drive server ~name:"rz58-0" ~kind:`Rz58
-      ~nblocks:(max 4096 (nblocks + 64)) ()
-  in
+  let drive = data_drive server ~file_bytes in
   let staged_pl = Array.make nblocks Payload.none in
   let staged_len = Array.make nblocks 0 in
   let digest = ref 0x2545f4914f6cdd1d in
   let cpu = ref Time.zero in
   let _p =
     Machine.spawn server ~name:"fanout-stage" (fun () ->
-        let fs =
-          Fs.mkfs ~cache:(Machine.cache server) (Machine.blkdev drive)
-            ~ninodes:16
-        in
-        Machine.mount server "/" fs;
-        let env = Syscall.make_env server in
-        Programs.write_pattern_file env ~path:"/data" ~bytes:file_bytes;
-        Cache.invalidate_dev (Machine.cache server) (Machine.blkdev drive);
+        ignore (make_data_file server drive ~file_bytes);
         let fs, rel =
           match Machine.resolve server "/data" with
           | Some r -> r
           | None -> failwith "stage: /data unresolved"
         in
         let ino = Fs.lookup fs rel in
-        let cpu0 = Cpu.busy (Sched.cpu (Machine.sched server)) in
+        let cpu0 = cpu_busy server in
         let g = Kpath_graph.Graph.create (Machine.graph_ctx server) () in
         let src = Kpath_graph.Graph.add_file_source g ~fs ~ino () in
         let snk =
@@ -955,7 +909,7 @@ let stage_fanout_file ~machine_config ~file_bytes =
         (match Kpath_graph.Graph.wait g with
          | Ok _ -> ()
          | Error e -> failwith ("stage: " ^ e));
-        cpu := Time.diff (Cpu.busy (Sched.cpu (Machine.sched server))) cpu0)
+        cpu := Time.diff (cpu_busy server) cpu0)
   in
   Machine.run server;
   Array.iteri
@@ -972,11 +926,8 @@ let stage_fanout_file ~machine_config ~file_bytes =
    therefore the merged result — is independent of the partition. *)
 let deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us ~file_bytes
     ~staged_pl ~staged_len ~lo ~hi =
-  let engine =
-    Engine.create ~backend:machine_config.Config.sim_engine
-      ~tick:machine_config.Config.callout_tick ()
-  in
-  let server = Machine.create ~config:machine_config ~engine () in
+  let server = Machine.create ~config:machine_config () in
+  let engine = Machine.engine server in
   let clientm = Machine.create ~config:machine_config ~engine () in
   let net = Netif.create_net ~bandwidth ~switched:true engine in
   let srv_nif_stats = Stats.create () and cli_nif_stats = Stats.create () in
@@ -1040,8 +991,7 @@ let deliver_fanout_shard ~machine_config ~bandwidth ~stagger_us ~file_bytes
     (fun (t1, c1) (t2, c2) ->
       if t1 <> t2 then Int.compare t1 t2 else Int.compare c1 c2)
     comp;
-  (comp, !corrupt, !ncomp = n, Engine.events_fired engine,
-   Cpu.busy (Sched.cpu (Machine.sched server)))
+  (comp, !corrupt, !ncomp = n, Engine.events_fired engine, cpu_busy server)
 
 let measure_fanout_sharded ?(clients = 64) ?(domains = 1)
     ?(file_bytes = 64 * 1024) ?(bandwidth = 2.5e6) ?(stagger_us = 1)

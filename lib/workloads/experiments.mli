@@ -38,6 +38,18 @@ val make_setup :
 val cold_caches : setup -> unit
 (** Re-invalidate every cached block of both devices (between runs). *)
 
+val spawn_copier :
+  setup ->
+  mode:[< `Cp | `Scp | `Mcp ] ->
+  ?config:Flowctl.config ->
+  ?pace:float ->
+  ?loop_until:bool ref ->
+  Programs.copy_stats ->
+  Kpath_proc.Process.t
+(** Start the setup's copier, [src_path] to [dst_path]: {!Programs.spawn_cp},
+    {!Programs.spawn_scp} (the only one [config] reaches) or
+    {!Programs.spawn_mcp} (unpaced: it ignores [pace]). *)
+
 (** {1 Table 2 — throughput} *)
 
 type copy_measure = {
@@ -48,6 +60,9 @@ type copy_measure = {
   cm_events : int;
       (** simulation events the copy fired (before verification) — with
           host wall-clock this gives the engine's events/sec *)
+  cm_requests : int;
+      (** device requests completed during the copy, across the
+          setup's drives (one completion interrupt each) *)
 }
 
 val measure_copy :
@@ -71,8 +86,14 @@ type tput_row = {
   tp_pct_improvement : float;
 }
 
+val compare_copy :
+  disk:disk_kind -> ?file_bytes:int -> ?machine_config:Config.t -> unit -> tput_row
+(** One cold [`Scp] copy and one cold [`Cp] copy ({!measure_copy}) and
+    their throughput row. Fails unless both copies verify. *)
+
 val table2 : ?file_bytes:int -> unit -> tput_row list
-(** The three rows of Table 2 (RAM, RZ56, RZ58). *)
+(** The three rows of Table 2 (RAM, RZ56, RZ58), one {!compare_copy}
+    each. *)
 
 (** {1 Table 1 — CPU availability} *)
 
@@ -141,10 +162,11 @@ val measure_cluster :
   cluster:int ->
   unit ->
   cluster_row
-(** One cold splice copy with [max_cluster = cluster]: throughput and
-    device interrupts per MB on an idle machine, then the Table 1-style
-    availability factor under a paced copy loop. Defaults match
-    {!table1}: 2000 ops, copy paced to 1 MB/s. *)
+(** {!measure_copy} of one cold splice copy with [max_cluster = cluster]
+    (throughput, and [cm_requests] as device interrupts per MB), then
+    {!slowdown} under a paced splice copy loop. Fails unless the copy
+    verifies. Defaults match {!table1}: 2000 ops, copy paced to
+    1 MB/s. *)
 
 val cluster_sweep :
   disk:disk_kind ->
@@ -163,9 +185,8 @@ val watermark_sweep :
   disk:disk_kind -> ?file_bytes:int -> Flowctl.config list -> (Flowctl.config * copy_measure) list
 (** splice throughput under alternative flow-control settings (§5.5). *)
 
-val size_sweep :
-  disk:disk_kind -> int list -> (int * copy_measure * copy_measure) list
-(** (size, scp, cp) across file sizes — the paper's "alternative sizes
+val size_sweep : disk:disk_kind -> int list -> (int * tput_row) list
+(** {!compare_copy} across file sizes — the paper's "alternative sizes
     were statistically indistinguishable" claim. *)
 
 (** {1 Continuous-media playback (the paper's §1/§4 motivation)} *)

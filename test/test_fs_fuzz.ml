@@ -48,9 +48,10 @@ let arb_ops =
 (* The model: name slot -> contents. Hard links share a content cell. *)
 type cell = { mutable data : Bytes.t }
 
+(* Like POSIX write, a zero-length write changes nothing, even past EOF. *)
 let model_write cell ~off ~len =
   let needed = off + len in
-  if Bytes.length cell.data < needed then begin
+  if len > 0 && Bytes.length cell.data < needed then begin
     let d = Bytes.make needed '\000' in
     Bytes.blit cell.data 0 d 0 (Bytes.length cell.data);
     cell.data <- d
@@ -256,8 +257,17 @@ let test_rename_replaces () =
   Engine.run engine;
   Alcotest.(check bool) "ran" true !ok
 
+(* The model once grew a file on a zero-length write past EOF; the
+   filesystem, like POSIX, leaves the size at 0. *)
+let test_zero_length_write_past_eof () =
+  Alcotest.(check bool)
+    "size stays 0" true
+    (run_ops [ Create 7; Write (7, 5677, 0) ])
+
 let suite =
   [
+    Alcotest.test_case "zero-length write past EOF" `Quick
+      test_zero_length_write_past_eof;
     Alcotest.test_case "hard links" `Quick test_hardlink_shares_data;
     Alcotest.test_case "rename semantics" `Quick test_rename_replaces;
     Util.qcheck prop_fs_model;

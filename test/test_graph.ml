@@ -24,7 +24,6 @@ let block_size = 8192
    the run the cache must satisfy its invariants with nothing pinned. *)
 let with_rig ?(disk = `Ram) ?(file_bytes = 256 * 1024) body =
   let s = Experiments.make_setup ~disk ~file_bytes () in
-  Experiments.cold_caches s;
   let m = s.Experiments.machine in
   let result = ref None in
   let p =
@@ -825,7 +824,6 @@ let test_syscall_prog_load () =
      splice_graph and produces the same checksum as the built-in. *)
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
   let m = s.Experiments.machine in
-  Experiments.cold_caches s;
   let done_ = ref false in
   let _p =
     Machine.spawn m ~name:"prog-load" (fun () ->

@@ -288,6 +288,9 @@ let test_splice_negative_size_einval () =
           Syscall.splice env ~src:sfd ~dst:dfd (-5));
       expect_errno Errno.EINVAL (fun () ->
           Syscall.splice_graph env ~srcs:[ sfd ] ~dsts:[ dfd ] (-5));
+      expect_errno Errno.EINVAL (fun () ->
+          Syscall.splice_graph env ~srcs:[ sfd ] ~dsts:[ dfd ] ~window:0
+            Syscall.splice_eof);
       Alcotest.(check int) "nothing written" 0 (Syscall.file_size env dfd))
 
 let test_splice_socket_to_socket_syscall () =

@@ -11,7 +11,6 @@ open Kpath_workloads
    process after a patterned source file exists and caches are cold. *)
 let with_machine ?(disk = `Ram) ?(file_bytes = 256 * 1024) body =
   let s = Experiments.make_setup ~disk ~file_bytes () in
-  Experiments.cold_caches s;
   let m = s.Experiments.machine in
   let result = ref None in
   let p = Machine.spawn m ~name:"splice-test" (fun () -> result := Some (body s)) in
@@ -85,7 +84,6 @@ let test_verify_via_read_path () =
   (* End-to-end: splice then read the destination through the normal FS
      path and compare with the pattern. *)
   let s = Experiments.make_setup ~disk:`Rz58 ~file_bytes:(128 * 1024) () in
-  Experiments.cold_caches s;
   let m = s.Experiments.machine in
   let _p =
     Machine.spawn m ~name:"driver" (fun () ->
@@ -703,7 +701,6 @@ let prop_splice_integrity =
     (fun (size, lo, hi, burst) ->
       let config = Flowctl.make ~read_lo:lo ~write_hi:hi ~read_burst:burst in
       let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(256 * 1024) () in
-      Experiments.cold_caches s;
       let m = s.Experiments.machine in
       let verdict = ref false in
       let _p =

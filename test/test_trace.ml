@@ -108,7 +108,6 @@ let test_ring_wraps () =
 
 let test_splice_emits () =
   let s = Experiments.make_setup ~disk:`Ram ~file_bytes:(64 * 1024) () in
-  Experiments.cold_caches s;
   let m = s.Experiments.machine in
   Trace.enable (Machine.trace m) "splice";
   let stats = Programs.fresh_copy_stats () in

@@ -79,11 +79,37 @@ let test_relay_modes () =
     (s.Experiments.rm_cpu_busy_frac < p.Experiments.rm_cpu_busy_frac)
 
 let test_pattern_helpers () =
-  let b = Bytes.create 16 in
-  Programs.fill_pattern b ~file_off:100;
-  for i = 0 to 15 do
-    Alcotest.(check char) "pattern" (Programs.pattern_byte (100 + i)) (Bytes.get b i)
-  done
+  (* Short and long buffers, the long one crossing several 256-byte
+     periods from an odd phase. *)
+  List.iter
+    (fun (len, off) ->
+      let b = Bytes.create len in
+      Programs.fill_pattern b ~file_off:off;
+      for i = 0 to len - 1 do
+        Alcotest.(check char) "pattern" (Programs.pattern_byte (off + i)) (Bytes.get b i)
+      done;
+      Alcotest.(check int) "no mismatches" 0
+        (Programs.pattern_mismatches b ~pos:0 ~len ~file_off:off))
+    [ (16, 100); (1000, 300); (65536, 8191) ]
+
+let test_make_setup_is_cold () =
+  (* No block of either drive is cached when make_setup returns, so a
+     measurement starts cold without further calls. *)
+  List.iter
+    (fun same_disk ->
+      let s =
+        Experiments.make_setup ~disk:`Rz58 ~file_bytes:(256 * 1024) ~same_disk ()
+      in
+      let cache = Kpath_kernel.Machine.cache s.Experiments.machine in
+      List.iter
+        (fun d ->
+          let dev = Kpath_kernel.Machine.blkdev d in
+          for b = 0 to dev.Kpath_dev.Blkdev.dv_nblocks - 1 do
+            if Kpath_buf.Cache.cached cache dev b then
+              Alcotest.failf "block %d cached after make_setup" b
+          done)
+        s.Experiments.drives)
+    [ false; true ]
 
 let test_media_playback () =
   let p = Experiments.measure_media ~player:`Process ~seconds:2 () in
@@ -323,6 +349,7 @@ let suite =
     Alcotest.test_case "same-disk penalty" `Quick test_same_disk_copy_slower_than_two_disks;
     Alcotest.test_case "udp relay modes" `Quick test_relay_modes;
     Alcotest.test_case "pattern helpers" `Quick test_pattern_helpers;
+    Alcotest.test_case "make_setup starts cold" `Quick test_make_setup_is_cold;
     Alcotest.test_case "media playback" `Quick test_media_playback;
     Alcotest.test_case "elevator same-disk" `Quick test_elevator_helps_same_disk_cp;
     Alcotest.test_case "determinism" `Quick test_determinism;
